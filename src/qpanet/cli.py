@@ -404,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--qualities", default=None, help="node quality file (ingestion mode)")
     sm.add_argument("--emit-edges", dest="emit_edges", default=None, help="write edge list here")
     sm.add_argument("-o", "--output", default=None, help="report path (default stdout)")
-    sm.add_argument("--threads", type=_positive_int, default=None)
     sm.set_defaults(func=cmd_simulate)
 
     sv = sub.add_parser("validate", help="cross-check closed forms against simulation")
@@ -433,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     sn.add_argument("--theta", type=int, required=True, help="focal quality")
     sn.add_argument("--l-max", dest="l_max", type=_positive_int, default=None)
     sn.add_argument("-o", "--output", default=None)
-    sn.add_argument("--threads", type=_positive_int, default=None)
     sn.set_defaults(func=cmd_nn_table)
     return ap
 
@@ -452,7 +450,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    if getattr(args, "threads", None) is None:
+    if hasattr(args, "threads") and args.threads is None:
         args.threads = _default_threads()
     try:
         return args.func(args)

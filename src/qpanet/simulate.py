@@ -2,10 +2,20 @@
 
 Growth uses token-list sampling: a node of degree k and quality theta
 holds k + theta entries in a flat token array, so drawing a uniform
-token is a draw proportional to k + theta at O(1) expected cost per
-link.  This relies on qualities being integers.  Collisions within one
-arrival's batch of beta targets are resampled, which is unbiased enough
-at scale and keeps the cost amortized O(1).
+token is a draw proportional to k + theta.  This relies on qualities
+being integers.  The array is the copy model of Batagelj & Brandes
+(Phys. Rev. E 71, 036113, 2005): after the seed nodes' blocks, each
+arrival appends one copy token per link, standing for the target that
+link picks, then its own beta + theta tokens.  Every position is fixed by
+the qualities alone, so the whole array is laid out and every first
+draw made before any target is known; copies are then resolved by
+pointer jumping, as in Sanders & Schulz (IPL 116(7), 2016).
+
+An arrival's beta targets are distinct.  Each link takes the first draw
+of its own stream that repeats no earlier link of the same arrival,
+which is exactly the law of drawing the targets one by one and redrawing
+every repeat.  All links are settled together in whole-array rounds that
+stop at the unique fixed point (``_resolve_targets``).
 """
 
 from __future__ import annotations
@@ -91,40 +101,141 @@ class EmpiricalReport:
 
 
 def _csr_from_edges(n: int, edges: np.ndarray):
-    if len(edges):
-        u = edges[:, 0]
-        v = edges[:, 1]
-        deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-    else:
-        deg = np.zeros(n, dtype=np.int64)
+    """CSR adjacency whose neighbor lists follow edge order.
+
+    A stable sort of the flattened endpoints groups the occurrences of
+    each node in edge order, so node ``u`` lists its neighbors exactly as
+    appending both directions of every edge in turn would.
+    """
+    ends = edges.ravel()
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    cursor = indptr[:-1].copy()
-    for a, b in edges:
-        indices[cursor[a]] = b
-        cursor[a] += 1
-        indices[cursor[b]] = a
-        cursor[b] += 1
-    return indptr, indices
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    order = np.argsort(ends, kind="stable")
+    # flat position p holds one endpoint of edge p // 2; p ^ 1 holds the other
+    order ^= 1
+    return indptr, ends[order]
 
 
-class _UniformBuffer:
-    """Buffered uniforms: one vectorized draw feeding many scalar reads."""
+def _draw(tok: np.ndarray, top: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One uniform token among the first ``top`` of ``tok``, per entry of ``top``."""
+    pos = rng.random(top.size)
+    pos *= top
+    return tok[pos.astype(np.int64)]
 
-    def __init__(self, rng: np.random.Generator, size: int = 8192):
-        self._rng = rng
-        self._size = size
-        self._buf = rng.random(size)
-        self._pos = 0
 
-    def next(self) -> float:
-        if self._pos >= self._size:
-            self._buf = self._rng.random(self._size)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
+def _token_table(n: int, beta: int, qualities: np.ndarray):
+    """Token array of preferential growth, and the tokens each arrival sees.
+
+    Node ``v`` owns ``beta + qualities[v]`` tokens (a seed node starts at
+    degree ``beta``).  Arrival ``a``'s ``beta`` copy tokens, ``n + g`` for
+    its slot ``g``, sit just before its own block, at ``top[a]``: the
+    number of tokens present when it draws.
+    """
+    seed_size = beta + 1
+    own = beta + qualities
+    top = np.empty(n - seed_size, dtype=np.int64)
+    top[0] = int(own[:seed_size].sum())
+    np.cumsum(beta + own[seed_size:-1], out=top[1:])
+    top[1:] += top[0]
+    # one run of beta + 1 blocks per arrival: its copy tokens, one each,
+    # then its own block
+    val = np.empty(seed_size + top.size * (beta + 1), dtype=np.int64)
+    cnt = np.empty_like(val)
+    val[:seed_size] = np.arange(seed_size)
+    cnt[:seed_size] = own[:seed_size]
+    run_val = val[seed_size:].reshape(top.size, beta + 1)
+    run_cnt = cnt[seed_size:].reshape(top.size, beta + 1)
+    run_val[:, :beta] = n + np.arange(top.size * beta).reshape(top.size, beta)
+    run_val[:, beta] = np.arange(seed_size, n)
+    run_cnt[:, :beta] = 1
+    run_cnt[:, beta] = own[seed_size:]
+    tok = np.repeat(val, cnt)
+    return tok, top
+
+
+def _chase(lookup: np.ndarray, n: int) -> None:
+    """Resolve copy pointers in place by pointer jumping.
+
+    ``lookup[v] == v`` for node ids ``v < n``; entry ``n + g`` holds slot
+    ``g``'s chosen token, which is a node id or another slot's pointer.
+    Pointers only lead to earlier slots, so each jump halves every
+    remaining chain and the loop ends after about log2(longest chain)
+    passes.
+    """
+    todo = n + np.flatnonzero(lookup[n:] >= n)
+    while todo.size:
+        lookup[todo] = lookup[lookup[todo]]
+        todo = todo[lookup[todo] >= n]
+
+
+def _resolve_targets(
+    n: int, beta: int, tok: np.ndarray, top: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Distinct targets of every arrival, as an ``[arrivals, beta]`` array.
+
+    Slot ``g = a * beta + s`` is the ``s``-th link of arrival ``a``, which
+    draws uniformly among the first ``top[a]`` tokens of ``tok``.  A token
+    is a node id, or ``n + g`` for the copy of slot ``g``'s target.  Each
+    slot owns a stream of independent draws and takes the first one that
+    repeats no earlier slot of its arrival: the law of drawing the slots
+    in turn and redrawing every repeat.  Every slot starts with one draw.
+    Each round resolves all slots under the current choices, re-picks
+    every slot's first valid draw, and doubles the draws of each slot
+    that has none.  A slot depends only on earlier slots, so the rounds
+    reach the unique fixed point, where no choice changes; how many
+    draws a stream has revealed by then does not change which one is
+    first valid.
+    """
+    first = _draw(tok, np.repeat(top, beta), rng)
+    # later attempts, grouped by slot in draw order; the slots whose current
+    # choice is one of them, ascending, with that choice
+    more_slot = more_tok = pick_slot = pick_tok = np.empty(0, dtype=np.int64)
+    # buffers reused by every round
+    lookup = np.empty(n + first.size, dtype=np.int64)
+    lookup[:n] = np.arange(n)
+    res = lookup[n:]
+    sib = res.reshape(-1, beta)
+    dup = np.zeros(sib.shape, dtype=bool)
+    while True:
+        res[:] = first
+        res[pick_slot] = pick_tok
+        _chase(lookup, n)
+        # whether each slot's first attempt repeats an earlier slot's choice
+        for s in range(1, beta):
+            val = lookup[first[s::beta]]
+            dup[:, s] = (sib[:, :s] == val[:, None]).any(axis=1)
+        new_slot = new_tok = np.empty(0, dtype=np.int64)
+        if more_slot.size and dup.any():
+            # the first later attempt that repeats no earlier slot, for each
+            # slot whose first attempt does
+            more_val = lookup[more_tok]
+            more_pos = more_slot % beta
+            more_dup = ~dup.ravel()[more_slot]
+            for s in range(1, beta):
+                more_dup |= (more_pos >= s) & (more_val == res[more_slot - s])
+            ok_slot, ok_tok = more_slot[~more_dup], more_tok[~more_dup]
+            lead = np.ones(ok_slot.size, dtype=bool)
+            lead[1:] = ok_slot[1:] != ok_slot[:-1]
+            new_slot, new_tok = ok_slot[lead], ok_tok[lead]
+            dup.ravel()[new_slot] = False
+        need = np.flatnonzero(dup)
+        if need.size:
+            # a slot with no valid attempt doubles its attempts, so even a
+            # slot that needs hundreds of draws settles in a few rounds; its
+            # first new draw stands as its choice until the next round
+            have = 1 + np.searchsorted(more_slot, need, "right")
+            have -= np.searchsorted(more_slot, need, "left")
+            drawn_slot = np.repeat(need, have)
+            drawn = _draw(tok, top[drawn_slot // beta], rng)
+            order = np.argsort(np.concatenate((more_slot, drawn_slot)), kind="stable")
+            more_slot = np.concatenate((more_slot, drawn_slot))[order]
+            more_tok = np.concatenate((more_tok, drawn))[order]
+            order = np.argsort(np.concatenate((new_slot, need)))
+            new_slot = np.concatenate((new_slot, need))[order]
+            new_tok = np.concatenate((new_tok, drawn[np.cumsum(have) - have]))[order]
+        elif np.array_equal(new_slot, pick_slot) and np.array_equal(new_tok, pick_tok):
+            return sib
+        pick_slot, pick_tok = new_slot, new_tok
 
 
 def _grow(n: int, params: ModelParams, seed: int, uniform_attachment: bool) -> Network:
@@ -133,59 +244,21 @@ def _grow(n: int, params: ModelParams, seed: int, uniform_attachment: bool) -> N
         raise DomainError(f"n must exceed beta + 1 = {beta + 1}, got {n}")
     rng = np.random.default_rng(np.uint64(seed))
     qualities = sample_quality(params.quality, rng, size=n)
-    theta_total = int(qualities.sum())
     seed_size = beta + 1
-    m_total = seed_size * (seed_size - 1) // 2 + beta * (n - seed_size)
-    edges = np.empty((m_total, 2), dtype=np.int64)
-
-    # seed clique
-    e = 0
-    for i in range(seed_size):
-        for j in range(i + 1, seed_size):
-            edges[e, 0] = i
-            edges[e, 1] = j
-            e += 1
-
-    buf = _UniformBuffer(rng)
+    arrivals = np.arange(seed_size, n, dtype=np.int64)
+    seed_i, seed_j = np.triu_indices(seed_size, 1)
+    m0 = seed_i.size
+    edges = np.empty((m0 + beta * arrivals.size, 2), dtype=np.int64)
+    edges[:m0, 0] = seed_i
+    edges[:m0, 1] = seed_j
+    edges[m0:, 0] = np.repeat(arrivals, beta)
     if uniform_attachment:
-        chosen: list[int] = []
-        for x in range(seed_size, n):
-            chosen.clear()
-            while len(chosen) < beta:
-                t = int(buf.next() * x)
-                if t not in chosen:
-                    chosen.append(t)
-            for t in chosen:
-                edges[e, 0] = x
-                edges[e, 1] = t
-                e += 1
+        # token p is node p, and arrival x draws among the first x
+        tok, top = np.arange(n, dtype=np.int64), arrivals
     else:
-        tokens = np.empty(2 * m_total + theta_total, dtype=np.int64)
-        top = 0
-        deg_seed = seed_size - 1
-        for i in range(seed_size):
-            c = deg_seed + int(qualities[i])
-            tokens[top : top + c] = i
-            top += c
-        chosen = []
-        for x in range(seed_size, n):
-            chosen.clear()
-            while len(chosen) < beta:
-                t = int(tokens[int(buf.next() * top)])
-                if t not in chosen:
-                    chosen.append(t)
-            for t in chosen:
-                edges[e, 0] = x
-                edges[e, 1] = t
-                tokens[top] = t
-                top += 1
-                e += 1
-            c = beta + int(qualities[x])
-            tokens[top : top + c] = x
-            top += c
-        # token-count consistency: every unit of degree and quality is a token
-        assert top == 2 * m_total + theta_total, "token bookkeeping out of sync"
-    assert e == m_total
+        tok, top = _token_table(n, beta, qualities)
+    edges[m0:, 1] = _resolve_targets(n, beta, tok, top, rng).ravel()
+    del tok, top  # the largest arrays of the growth; free them before the CSR
     indptr, indices = _csr_from_edges(n, edges)
     return Network(
         n=n,

@@ -227,6 +227,14 @@ class TestSimulateCommand:
         code, _, _ = run(["simulate", "--mode", "qpa", "--n", "100"], capsys)
         assert code == 2
 
+    def test_threads_flag_rejected(self, capsys):
+        # simulation is single-threaded, so the flag is not accepted
+        argv = ["simulate", "--n", "100", "--beta", "2", "--q", "0.5", "--theta-max", "4"]
+        assert run(argv, capsys)[0] == 0
+        code, _, err = run(argv + ["--threads", "2"], capsys)
+        assert code == 2
+        assert "--threads" in err
+
 
 class TestNnTableCommand:
     def test_dump_and_normalization(self, tmp_path, capsys):

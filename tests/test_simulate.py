@@ -1,12 +1,17 @@
 import io
+import itertools
+from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
+from scipy import stats
 
 from qpanet.analytic import ModelParams
 from qpanet.errors import DomainError, GraphParseError
 from qpanet.quality import make_bernoulli, make_exponential
 from qpanet.simulate import (
+    _csr_from_edges,
     empirical_report,
     grow_qpa,
     grow_uniform,
@@ -39,13 +44,15 @@ class TestGrowth:
 
     def test_determinism_byte_identical(self):
         p = small_params(2)
-        a = grow_qpa(5000, p, seed=77)
-        b = grow_qpa(5000, p, seed=77)
-        bufa, bufb = io.StringIO(), io.StringIO()
-        write_edge_list(a, bufa)
-        write_edge_list(b, bufb)
-        assert bufa.getvalue() == bufb.getvalue()
-        assert np.array_equal(a.qualities, b.qualities)
+        for grow in (grow_qpa, grow_uniform):
+            a = grow(5000, p, seed=77)
+            b = grow(5000, p, seed=77)
+            bufa, bufb = io.StringIO(), io.StringIO()
+            write_edge_list(a, bufa)
+            write_edge_list(b, bufb)
+            assert bufa.getvalue() == bufb.getvalue()
+            assert np.array_equal(a.qualities, b.qualities)
+            assert a.adj_indices.tobytes() == b.adj_indices.tobytes()
 
     def test_seed_changes_output(self):
         p = small_params(2)
@@ -66,6 +73,110 @@ class TestGrowth:
         net = grow_uniform(100, small_params(2), seed=4)
         assert net.provenance == "uniform"
         assert net.seed == 4
+
+
+def exact_target_law(n: int, beta: int, uniform: bool) -> dict:
+    """Exact probability of every ordered target sequence of a small network.
+
+    Each arrival draws its ``beta`` targets one at a time, redrawing any
+    repeat, so given the earlier picks a target ``t`` is chosen with
+    probability ``w(t) / (W - sum of w over earlier picks)``.  Weights
+    are ``degree + quality`` for preferential growth and 1 for uniform
+    growth.  Preferential laws are averaged over every quality vector of
+    ``make_bernoulli(0.5, 3)``; the last node's quality never matters.
+    """
+    seed = beta + 1
+    law: dict = {}
+    qual_vectors = [()] if uniform else list(itertools.product((0, 3), repeat=n - 1))
+    for quals in qual_vectors:
+
+        def walk(x, deg, prob, seq):
+            if x == n:
+                law[seq] = law.get(seq, 0.0) + prob
+                return
+            w = [1.0] * x if uniform else [deg[i] + quals[i] for i in range(x)]
+            for picks in itertools.permutations(range(x), beta):
+                p, left = prob, float(sum(w))
+                for t in picks:
+                    p *= w[t] / left
+                    left -= w[t]
+                nxt = deg + [beta]
+                for t in picks:
+                    nxt[t] += 1
+                walk(x + 1, nxt, p, seq + picks)
+
+        walk(seed, [beta] * seed, 1.0 / len(qual_vectors), ())
+    return law
+
+
+class TestExactLaw:
+    SEEDS = 10_000
+
+    @pytest.mark.parametrize(
+        "beta, n, uniform", [(2, 5, False), (2, 6, False), (3, 6, False), (2, 6, True)]
+    )
+    def test_target_sequences_follow_sequential_rejection(self, beta, n, uniform):
+        law = exact_target_law(n, beta, uniform)
+        grow = grow_uniform if uniform else grow_qpa
+        params = ModelParams(beta=beta, quality=make_bernoulli(0.5, 3))
+        m0 = (beta + 1) * beta // 2
+        seen = Counter(
+            tuple(int(t) for t in grow(n, params, seed).edges[m0:, 1])
+            for seed in range(self.SEEDS)
+        )
+        impossible = set(seen) - set(law)
+        assert not impossible, f"sequences of probability zero observed: {impossible}"
+        keys = sorted(law)
+        expected = np.array([law[k] for k in keys]) * self.SEEDS
+        observed = np.array([seen[k] for k in keys], dtype=float)
+        # pool the sparse cells so every chi-square cell expects >= 5
+        sparse = expected < 5
+        if sparse.any():
+            expected = np.append(expected[~sparse], expected[sparse].sum())
+            observed = np.append(observed[~sparse], observed[sparse].sum())
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+def csr_by_loop(n: int, edges: np.ndarray):
+    """Reference CSR build: append both directions of every edge in turn."""
+    deg = np.bincount(edges.ravel(), minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for a, b in edges:
+        indices[cursor[a]] = b
+        cursor[a] += 1
+        indices[cursor[b]] = a
+        cursor[b] += 1
+    return indptr, indices
+
+
+class TestCsr:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_edge_loop_bytes(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        # any ordered pairs, u > v included; nodes no edge names stay isolated
+        m = int(rng.integers(0, 3 * n))
+        edges = rng.integers(0, max(n - 5, 1), size=(m, 2)).astype(np.int64)
+        got = _csr_from_edges(n, edges)
+        want = csr_by_loop(n, edges)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+    def test_zero_edges(self):
+        got = _csr_from_edges(4, np.empty((0, 2), dtype=np.int64))
+        want = csr_by_loop(4, np.empty((0, 2), dtype=np.int64))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_grown_network(self):
+        net = grow_qpa(3000, small_params(3), seed=8)
+        want = csr_by_loop(net.n, net.edges)
+        assert net.adj_indptr.tobytes() == want[0].tobytes()
+        assert net.adj_indices.tobytes() == want[1].tobytes()
 
 
 class TestLoadGraph:
@@ -163,6 +274,48 @@ class TestEmpiricalReport:
         rep = empirical_report(net)
         assert rep.isolated == 1
         assert rep.frac_quality_mean == pytest.approx(0.5)  # node 0 only
+
+
+def networkx_report(graph: nx.Graph, quality: dict) -> dict:
+    """Isolated count and the four paradox fractions, read from networkx."""
+    counts = dict.fromkeys(("degree_mean", "degree_median", "quality_mean", "quality_median"), 0)
+    active = 0
+    for u in graph:
+        nbrs = list(graph.neighbors(u))
+        if not nbrs:
+            continue
+        active += 1
+        for attr, own, vals in (
+            ("degree", graph.degree(u), [graph.degree(v) for v in nbrs]),
+            ("quality", quality[u], [quality[v] for v in nbrs]),
+        ):
+            vals.sort()
+            counts[attr + "_mean"] += own < sum(vals) / len(vals)
+            counts[attr + "_median"] += own < vals[(len(vals) - 1) // 2]
+    out = {"isolated": nx.number_of_isolates(graph)}
+    for key, c in counts.items():
+        out["frac_" + key] = c / max(active, 1)
+    return out
+
+
+class TestNetworkxOracle:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_report_matches_networkx(self, tmp_path, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(20, 200))
+        graph = nx.gnm_random_graph(n, int(rng.integers(n // 2, 3 * n)), seed=seed)
+        quality = {u: int(rng.integers(0, 5)) for u in graph}
+        # random orientation, so the file lists some edges with u > v
+        lines = [f"{u} {v}\n" if rng.random() < 0.5 else f"{v} {u}\n" for u, v in graph.edges]
+        ep = tmp_path / "e.txt"
+        qp = tmp_path / "q.txt"
+        ep.write_text("".join(lines))
+        qp.write_text("".join(f"{u} {quality[u]}\n" for u in graph))
+        rep = empirical_report(load_graph(ep, qp))
+        want = networkx_report(graph, quality)
+        assert rep.isolated == want["isolated"]
+        for key, value in want.items():
+            assert getattr(rep, key) == pytest.approx(value, abs=1e-12), key
 
 
 class TestJointHistogram:
