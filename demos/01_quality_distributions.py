@@ -8,20 +8,18 @@ by every paradox measure in the package.
 
 import numpy as np
 
-from qpanet import make_bernoulli, make_custom, make_exponential, pmf_stats
+from qpanet import make_bernoulli, make_custom, make_exponential
 
 print("=== Bernoulli family: quality 0 with prob p, else theta_max ===")
 for p in (0.0, 0.3, 0.7, 1.0):
     pmf = make_bernoulli(p, theta_max=8)
-    mean, median = pmf_stats(pmf)
-    print(f"p={p:.1f}: mean={mean:5.2f}  median={median}  probs={np.round(pmf.probs, 3)}")
+    print(f"p={p:.1f}: mean={pmf.mean:5.2f}  median={pmf.median}  probs={np.round(pmf.probs, 3)}")
 
 print()
 print("=== Exponential family: P(theta) ~ q**theta on 0..theta_max ===")
 for q in (0.1, 0.5, 1.0, 1.5):
     pmf = make_exponential(q, theta_max=8)
-    mean, median = pmf_stats(pmf)
-    print(f"q={q:.1f}: mean={mean:5.2f}  median={median}  probs={np.round(pmf.probs, 3)}")
+    print(f"q={q:.1f}: mean={pmf.mean:5.2f}  median={pmf.median}  probs={np.round(pmf.probs, 3)}")
 
 print()
 print("=== The median convention ===")

@@ -41,7 +41,6 @@ from .measures import (
 from .numerics import (
     SeriesResult,
     adaptive_series,
-    ln_binomial,
     ln_gamma,
     sum_log_terms,
 )
@@ -51,7 +50,6 @@ from .quality import (
     make_bernoulli,
     make_custom,
     make_exponential,
-    pmf_stats,
     sample_quality,
 )
 from .simulate import (
@@ -78,14 +76,12 @@ __all__ = [
     "EmpiricalReport",
     "SeriesResult",
     "ln_gamma",
-    "ln_binomial",
     "sum_log_terms",
     "adaptive_series",
     "make_bernoulli",
     "make_exponential",
     "make_custom",
     "load_custom",
-    "pmf_stats",
     "sample_quality",
     "joint_probability",
     "build_joint_table",

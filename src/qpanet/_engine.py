@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .numerics import _ln_gamma_raw
 
@@ -269,6 +268,8 @@ def power_tail_fit(rows: np.ndarray, ells: np.ndarray, s: float) -> np.ndarray:
 
 def tail_power_sum(coef: np.ndarray, s: float, l_end: int, upto=None) -> np.ndarray:
     """Sum of the fitted tail model over ell = l_end+1 .. upto (or infinity)."""
+    from scipy.special import zeta  # imported here: growth never needs scipy
+
     coef = np.atleast_2d(coef)
     total = np.zeros(coef.shape[0])
     for r in range(3):
@@ -286,6 +287,8 @@ def tail_weighted_sum(
 
     ``upto=None`` sums to infinity, which requires ``s > 2``.
     """
+    from scipy.special import zeta
+
     coef = np.atleast_2d(coef)
     total = np.zeros(coef.shape[0])
     for r in range(3):
@@ -298,6 +301,8 @@ def tail_weighted_sum(
 
 def partial_power_sum(s: float, lo: int, hi: int) -> float:
     """sum of ell**-s for ell = lo..hi inclusive (s > 0; s may be 1)."""
+    from scipy.special import zeta
+
     if hi < lo:
         return 0.0
     if s > 1.0:

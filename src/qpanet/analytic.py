@@ -43,6 +43,10 @@ DEFAULT_REL_TOL = 1e-10
 JOINT_TAIL_TARGET = 1e-8
 DEFAULT_K_CAP = 10**5
 DEFAULT_ELL_CAP = 10**4
+# E[1/k | theta] is summed exactly to this degree (doubled while needed) and
+# the remainder's bracket may not be wider than this half-width
+INV_K_CUT = 2**15
+INV_K_HALF_WIDTH = 1e-10
 
 
 @dataclass(frozen=True)
@@ -340,7 +344,7 @@ def nn_probability(
 
 
 # --------------------------------------------------------------------------
-# march-based aggregation
+# aggregated conditionals
 # --------------------------------------------------------------------------
 
 
@@ -369,75 +373,128 @@ def _cached_joint(params: ModelParams, rel_tol: float) -> JointTable:
 
 
 class QualityAggregate:
-    """P(phi | theta) for every supported theta, from one march.
+    """P(phi | theta) for every supported theta, from its exact closed form.
 
-    The degree of the focal node is summed out in two parts: exactly up
-    to the march depth ``k_deep``, then with the smooth-in-k model
-    Q(k) = Q_inf + A/k fitted over the last half of the march (the
-    per-k conditional quality mass varies as 1/k, with
-    Q_inf = rho(phi) its infinite-degree limit).
+    A node of degree k got ``beta`` links at birth and its other
+    ``k - beta`` links from later arrivals.
+
+    * A birth link picks its target with probability proportional to
+      degree + quality.  Summing the joint law's theta column exactly,
+      E[k + phi | phi] = (beta + phi)(2 beta + mu)/(beta + mu), while the
+      total attachment weight per node is 2 beta + mu.  So a birth target
+      has quality law pi(phi) = rho(phi)(beta + phi)/(beta + mu).
+    * A later neighbor is an arrival, whose quality is a fresh draw from
+      rho whatever node it attaches to.
+
+    Hence, for a node of degree k and quality theta,
+
+        P(phi | k, theta) = [beta pi(phi) + (k - beta) rho(phi)] / k
+                          = rho(phi) [1 + beta (phi - mu) / ((beta + mu) k)],
+
+    and averaging over the node's degree class,
+
+        P(phi | theta) = rho(phi) [1 + beta (phi - mu)/(beta + mu) E[1/k | theta]].
+
+    E[1/k | theta] is read from the joint law's theta column,
+
+        P(k | theta) = (2 + g) G(k + theta) G(beta + theta + 2 + g)
+                       / (G(beta + theta) G(k + theta + 3 + g)),  g = mu/beta,
+
+    (G the gamma function), summed exactly for beta <= k <= K.  The mass
+    beyond K telescopes, sum_{k>K} G(k + a)/G(k + a + c) =
+    G(K + 1 + a) / ((c - 1) G(K + a + c)), so the remainder of
+    E[1/k | theta] lies in [0, T/(K + 1)] with
+
+        T = G(K + 1 + theta) G(beta + theta + 2 + g)
+            / (G(beta + theta) G(K + theta + 3 + g))
+
+    that exact tail mass.  The midpoint is used; K starts at
+    ``INV_K_CUT`` and doubles until the half-width is below
+    ``INV_K_HALF_WIDTH``, which moves E[phi | theta] by less than
+    theta_max**2 * 1e-10.
+
+    Raises
+    ------
+    NonConvergenceError
+        If the cut would have to pass ``DEFAULT_K_CAP``.
     """
 
-    def __init__(self, params, joint, march, q_levels, level_ks, k_deep):
-        self.params = params
-        support = params.quality.support
-        self.support = support
-        n_s = len(support)
-
-        ks = np.asarray(level_ks, dtype=float)
-        q_levels = np.asarray(q_levels)  # [n_pairs, n_levels]
-        half = int(np.searchsorted(ks, max(ks[-1] // 2, ks[0] + 1)))
-        inv_k = 1.0 / ks[half:]
-        qw = q_levels[:, half:]
-        # least-squares line in 1/k
-        x = inv_k - inv_k.mean()
-        denom = float(np.dot(x, x))
-        slope = (qw - qw.mean(axis=1, keepdims=True)) @ x / denom
-        q_inf = qw.mean(axis=1) - slope * inv_k.mean()
-
-        kv = joint.k_values
-        deep_mask = kv > k_deep
-        self.dists = {}
-        self.tail_defect = {}
-        for ti, theta in enumerate(int(t) for t in support):
-            pk = joint.p_k_given_theta(theta)
-            w_exact = pk[~deep_mask]
-            t0 = float(pk[deep_mask].sum()) + float(
-                joint.tail_by_theta[theta] / params.quality.probs[theta]
+    def __init__(self, params: ModelParams):
+        pmf = params.quality
+        beta = params.beta
+        mu = pmf.mean
+        g = params.mu_over_beta
+        support = pmf.support
+        thetas = support.astype(float)
+        ln_norm = _ln_gamma_raw(beta + thetas + 2.0 + g) - _ln_gamma_raw(beta + thetas)
+        cut = INV_K_CUT
+        while True:
+            tail = np.exp(
+                ln_norm
+                + _ln_gamma_raw(cut + 1.0 + thetas)
+                - _ln_gamma_raw(cut + thetas + 3.0 + g)
             )
-            t1 = float((pk[deep_mask] / kv[deep_mask]).sum())
-            probs_phi = np.zeros(n_s)
-            for fi in range(n_s):
-                p = ti * n_s + fi  # march pairs are theta-major over the support
-                probs_phi[fi] = (
-                    float(np.dot(w_exact, q_levels[p]))
-                    + q_inf[p] * t0
-                    + slope[p] * t1
+            half_width = tail / (2.0 * (cut + 1))
+            if half_width.max() < INV_K_HALF_WIDTH:
+                break
+            if 2 * cut > DEFAULT_K_CAP:
+                raise NonConvergenceError(
+                    f"E[1/k | theta] bracket {half_width.max():.2e} still above"
+                    f" {INV_K_HALF_WIDTH} at the {DEFAULT_K_CAP}-degree cap"
                 )
-            self.dists[theta] = probs_phi
-            self.tail_defect[theta] = 1.0 - float(probs_phi.sum())
+            cut *= 2
+        # G(m)/G(m + 3 + g) on the lattice m = k + theta
+        m = np.arange(beta, cut + pmf.theta_max + 1, dtype=float)
+        ratio = np.exp(_ln_gamma_raw(m) - _ln_gamma_raw(m + 3.0 + g))
+        inv_k = 1.0 / np.arange(beta, cut + 1, dtype=float)
+        column_sums = np.array([ratio[t : t + inv_k.size] @ inv_k for t in support])
+        inv_k_mean = (2.0 + g) * np.exp(ln_norm) * column_sums + half_width
+        tilt = beta * (support - mu) / (beta + mu)
+        self.support = support
+        # [theta, phi] over the support
+        self.laws = pmf.probs[support] * (1.0 + np.outer(inv_k_mean, tilt))
 
     def dist(self, theta: int) -> NeighborDist:
-        support = np.array([int(t) for t in self.support])
-        probs = self.dists[int(theta)]
-        defect = self.tail_defect[int(theta)]
-        cdf = np.cumsum(probs)
-        median = int(support[np.searchsorted(cdf, 0.5 - 1e-12)])
-        mean = float(np.dot(support, probs))
+        i = int(np.searchsorted(self.support, theta))
+        if i == self.support.size or self.support[i] != theta:
+            raise UndefinedConditionalError(
+                f"quality {theta} has zero probability; conditional undefined"
+            )
+        probs = self.laws[i]
+        median = int(self.support[np.searchsorted(np.cumsum(probs), 0.5 - 1e-12)])
         return NeighborDist(
             kind="quality-given-theta",
-            values=support,
+            values=self.support.copy(),
             probs=probs,
-            tail_mass=defect,
-            mean=mean,
+            tail_mass=0.0,
+            mean=float(np.dot(self.support, probs)),
             median=median,
             meta={"theta": int(theta)},
         )
 
 
 def quality_q_level(march: NeighborMarch, lvl) -> np.ndarray:
-    """Per-pair conditional mass sum_ell P(ell, phi | k, theta), tails included."""
+    """Per-pair conditional mass sum_ell P(ell, phi | k, theta), tails included.
+
+    Exactly (beta/k) pi(phi) + (1 - beta/k) rho(phi) (see
+    ``QualityAggregate``); the march reaches it through its fitted tails.
+    """
     return lvl.probs.sum(axis=1) + march.tail_mass(lvl)
+
+
+def _degree_stats(ells, pl, coef, g, ell_cap) -> tuple[float, int, float]:
+    """(mean over [beta, ell_cap], median, tail mass) of one P(ell | k) row.
+
+    ``pl`` is the resolved row on ``ells`` and ``coef`` its tail model.
+    """
+    s = 2.0 + g
+    l_end = int(ells[-1])
+    tail = float(tail_power_sum(coef, s, l_end)[0])
+    mean = float(np.dot(ells, pl)) + float(tail_weighted_sum(coef, s, l_end, ell_cap)[0])
+    cdf = np.cumsum(pl)
+    total = cdf[-1] + tail
+    median = int(ells[np.searchsorted(cdf, 0.5 * total - 1e-12)])
+    return mean, median, tail
 
 
 class DegreeProfile:
@@ -450,26 +507,16 @@ class DegreeProfile:
         self.ks: list[int] = []
         self.means: list[float] = []
         self.medians: list[int] = []
-        self.mass: list[float] = []
-        self._g = params.mu_over_beta
         self._n_support = len(params.quality.support)
 
     def add_level(self, march: NeighborMarch, lvl) -> None:
         pl, coef = self._degree_row(march, lvl)
-        ells = march.ells
-        g = self._g
-        s = 2.0 + g
-        l_end = int(ells[-1])
-        resolved_mean = float(np.dot(ells, pl))
-        ext = float(tail_weighted_sum(coef, s, l_end, self.ell_cap)[0])
-        tail_all = float(tail_power_sum(coef, s, l_end)[0])
-        cdf = np.cumsum(pl)
-        total = cdf[-1] + tail_all
-        median = int(ells[np.searchsorted(cdf, 0.5 * total - 1e-12)])
+        mean, median, _ = _degree_stats(
+            march.ells, pl, coef, self.params.mu_over_beta, self.ell_cap
+        )
         self.ks.append(lvl.k)
-        self.means.append(resolved_mean + ext)
+        self.means.append(mean)
         self.medians.append(median)
-        self.mass.append(float(total))
 
     def _degree_row(self, march: NeighborMarch, lvl):
         """(P(ell | k) resolved row, its tail-model coefficients)."""
@@ -483,18 +530,11 @@ class DegreeProfile:
         return pl, coef
 
 
-def neighbor_quality_dist(
-    params: ModelParams,
-    theta: int,
-    rel_tol: float = DEFAULT_REL_TOL,
-    k_deep: int | None = None,
-) -> NeighborDist:
+def neighbor_quality_dist(params: ModelParams, theta: int) -> NeighborDist:
     """Distribution of a random neighbor's quality given the node's quality.
 
-    Aggregates the neighbor distribution over the focal node's degree
-    class:  P(phi | theta) = sum_k P(k | theta) sum_ell P(ell, phi | k, theta),
-    with both unbounded degree sums truncated adaptively and the
-    remainders carried by power-law tail models.
+    P(phi | theta) = rho(phi) [1 + beta (phi - mu)/(beta + mu) E[1/k | theta]],
+    the exact law derived in ``QualityAggregate``.
 
     Raises
     ------
@@ -502,24 +542,7 @@ def neighbor_quality_dist(
         If ``rho(theta) = 0``.
     """
     theta = _check_quality_index(params, theta, "theta")
-    if params.quality.probs[theta] <= 0.0:
-        raise UndefinedConditionalError(
-            f"quality {theta} has zero probability; conditional undefined"
-        )
-    joint = _cached_joint(params, rel_tol)
-    if k_deep is None:
-        k_deep = max(128, 8 * params.beta)
-    march = NeighborMarch(params, l_resolve=_l_resolve_for(rel_tol))
-    q_levels = [quality_q_level(march, march.level())]
-    level_ks = [march.k]
-    while march.k < k_deep:
-        march.advance()
-        q_levels.append(quality_q_level(march, march.level()))
-        level_ks.append(march.k)
-    agg = QualityAggregate(
-        params, joint, march, np.stack(q_levels, axis=1), level_ks, k_deep
-    )
-    return agg.dist(theta)
+    return QualityAggregate(params).dist(theta)
 
 
 def neighbor_degree_dist(
@@ -551,23 +574,12 @@ def neighbor_degree_dist(
     march = NeighborMarch(params, l_resolve=_l_resolve_for(rel_tol), k_hint=k)
     while march.k < k:
         march.advance()
-    lvl = march.level()
     profile = DegreeProfile(params, joint, ell_cap=ell_cap)
-    pl, coef = profile._degree_row(march, lvl)
-    ells = march.ells
-    g = params.mu_over_beta
-    s = 2.0 + g
-    l_end = int(ells[-1])
-    tail = float(tail_power_sum(coef, s, l_end)[0])
-    mean = float(np.dot(ells, pl)) + float(
-        tail_weighted_sum(coef, s, l_end, ell_cap)[0]
-    )
-    cdf = np.cumsum(pl)
-    total = cdf[-1] + tail
-    median = int(ells[np.searchsorted(cdf, 0.5 * total - 1e-12)])
+    pl, coef = profile._degree_row(march, march.level())
+    mean, median, tail = _degree_stats(march.ells, pl, coef, params.mu_over_beta, ell_cap)
     return NeighborDist(
         kind="degree-given-k",
-        values=ells.copy(),
+        values=march.ells.copy(),
         probs=pl,
         tail_mass=tail,
         mean=mean,

@@ -63,8 +63,16 @@ def _parse_grid(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip() != ""]
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip() != ""]
+def _parse_int_list(text: str, name: str) -> list[int]:
+    """Parse a comma list of integers >= 1."""
+    try:
+        values = [int(p) for p in text.split(",") if p.strip() != ""]
+    except ValueError:
+        raise DomainError(f"{name} must be a comma list of integers, got {text!r}") from None
+    bad = [v for v in values if v < 1]
+    if bad:
+        raise DomainError(f"{name} must be >= 1, got {bad[0]}")
+    return values
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -138,8 +146,10 @@ def cmd_sweep(args) -> int:
         bad = [x for x in grid if not (x > 0.0)]
     if bad:
         raise DomainError(f"{family} parameter out of domain: {bad[0]}")
-    betas = _parse_int_list(args.beta)
-    theta_maxes = _parse_int_list(args.theta_max)
+    betas = _parse_int_list(args.beta, "--beta")
+    theta_maxes = _parse_int_list(args.theta_max, "--theta-max")
+    if not (0.0 < args.rel_tol < 1.0):
+        raise DomainError(f"--rel-tol must be in (0, 1), got {args.rel_tol}")
     t0 = time.monotonic()
     rows = measures.sweep(
         family, grid, betas, theta_maxes, rel_tol=args.rel_tol, threads=args.threads

@@ -16,9 +16,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import warnings
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import analytic
 from ._engine import NeighborMarch
@@ -95,106 +93,47 @@ def _largest_below(values, bound, eps=_TIE_EPS):
     return max(qualifying) if qualifying else None
 
 
-@dataclass
-class _ParadoxProfile:
-    """Raw per-attribute neighbor statistics behind the criticals."""
-
-    quality_means: dict
-    quality_medians: dict
-    scan_ks: list
-    scan_means: list
-    scan_medians: list
-    notes: tuple = ()
-    quality_margin: float = math.inf
-    degree_margin: float = math.inf
-
-
 def _run_paradox_march(
     params: ModelParams,
     joint: JointTable,
     l_resolve: int,
-    k_deep: int,
     scan_cap: int,
-) -> _ParadoxProfile:
-    """One march over focal degree serving both paradox sides.
+) -> tuple[DegreeProfile, tuple[str, ...]]:
+    """March over focal degree for the degree paradox.
 
-    Degree side: scan k while testing k < mean / k < median of the
-    neighbor degree distribution, stopping once both inequalities have
-    failed for SCAN_FAIL_RUN consecutive degrees and the scan has
-    covered at least four times the mean degree.  Quality side: collect
-    the per-pair conditional masses Q(k) for the degree-summed
-    aggregation up to ``k_deep``.
+    Scans k while testing k < mean / k < median of the neighbor degree
+    distribution, stopping once both inequalities have failed for
+    SCAN_FAIL_RUN consecutive degrees and the scan has covered at least
+    four times the mean degree, or at the scan cap.  Returns the
+    per-degree profile and the scan-cap notes.
     """
     beta = params.beta
     min_scan = int(math.ceil(4.0 * joint.mean_degree))
-    march = NeighborMarch(
-        params, l_resolve=l_resolve, k_hint=max(k_deep, scan_cap) + 4
-    )
+    march = NeighborMarch(params, l_resolve=l_resolve, k_hint=beta + scan_cap)
     profile = DegreeProfile(params, joint)
-    q_levels = []
-    level_ks = []
     fail_mean = 0
     fail_median = 0
-    scan_done = False
     notes = []
     while True:
         k = march.k
-        lvl = march.level()
-        if k <= k_deep:
-            q_levels.append(analytic.quality_q_level(march, lvl))
-            level_ks.append(k)
-        if not scan_done:
-            profile.add_level(march, lvl)
-            if profile.means[-1] > k + _TIE_EPS:
-                fail_mean = 0
-            else:
-                fail_mean += 1
-            if profile.medians[-1] > k:
-                fail_median = 0
-            else:
-                fail_median += 1
-            if (
-                k >= min_scan
-                and fail_mean >= SCAN_FAIL_RUN
-                and fail_median >= SCAN_FAIL_RUN
-            ):
-                scan_done = True
-            elif k - beta >= scan_cap:
-                scan_done = True
-                if fail_mean == 0 or fail_median == 0:
-                    notes.append(
-                        f"paradox inequality still holds at the scan cap k={k}"
-                    )
-                    warnings.warn(notes[-1], ScanEdgeWarning, stacklevel=3)
-        if scan_done and k >= k_deep:
+        profile.add_level(march, march.level())
+        if profile.means[-1] > k + _TIE_EPS:
+            fail_mean = 0
+        else:
+            fail_mean += 1
+        if profile.medians[-1] > k:
+            fail_median = 0
+        else:
+            fail_median += 1
+        if k >= min_scan and fail_mean >= SCAN_FAIL_RUN and fail_median >= SCAN_FAIL_RUN:
+            break
+        if k - beta >= scan_cap:
+            if fail_mean == 0 or fail_median == 0:
+                notes.append(f"paradox inequality still holds at the scan cap k={k}")
+                warnings.warn(notes[-1], ScanEdgeWarning, stacklevel=3)
             break
         march.advance()
-
-    agg = QualityAggregate(
-        params, joint, march, np.stack(q_levels, axis=1), level_ks, k_deep
-    )
-    support = [int(t) for t in params.quality.support]
-    q_means = {}
-    q_medians = {}
-    q_margin = math.inf
-    for theta in support:
-        d = agg.dist(theta)
-        q_means[theta] = d.mean
-        q_medians[theta] = d.median
-        q_margin = min(q_margin, abs(d.mean - theta))
-    d_margin = min(
-        (abs(m - k) for k, m in zip(profile.ks, profile.means)), default=math.inf
-    )
-    return _ParadoxProfile(
-        quality_means=q_means,
-        quality_medians=q_medians,
-        scan_ks=profile.ks,
-        scan_means=profile.means,
-        scan_medians=profile.medians,
-        notes=tuple(notes),
-        quality_margin=q_margin,
-        degree_margin=d_margin,
-    )
+    return profile, tuple(notes)
 
 
 def critical_values(
@@ -208,37 +147,34 @@ def critical_values(
     Each critical value is the maximum attribute value for which the
     strict paradox inequality holds; ties never qualify.  A value is
     None when no attribute value qualifies (e.g. all qualities equal).
+    The quality side is decided from the exact neighbor-quality law.
     The degree scan is a heuristic with a documented cap: a warning is
     emitted (and recorded in ``notes``) if the inequality still holds at
     the scan edge.
     """
     if joint is None:
         joint = analytic._cached_joint(params, rel_tol)
-    k_deep = max(128, 8 * params.beta)
     l_resolve = analytic._l_resolve_for(rel_tol)
-    prof = _run_paradox_march(params, joint, l_resolve, k_deep, scan_cap)
-    if prof.quality_margin < 1e-4 or prof.degree_margin < 2e-2:
+    profile, notes = _run_paradox_march(params, joint, l_resolve, scan_cap)
+    margin = min(abs(m - k) for k, m in zip(profile.ks, profile.means))
+    if margin < 2e-2:
         # near-tie: re-run once at doubled resolution before deciding
-        prof = _run_paradox_march(params, joint, 2 * l_resolve, 2 * k_deep, scan_cap)
-    support = [int(t) for t in params.quality.support]
-    qualifying_mean = [t for t in support if t < prof.quality_means[t] - _TIE_EPS]
-    q_mean = max(qualifying_mean) if qualifying_mean else None
-    qualifying_median = [t for t in support if t < prof.quality_medians[t]]
-    q_median = max(qualifying_median) if qualifying_median else None
-    k_mean = None
-    k_median = None
-    for k, m, md in zip(prof.scan_ks, prof.scan_means, prof.scan_medians):
-        if m > k + _TIE_EPS:
-            k_mean = k
-        if md > k:
-            k_median = k
+        profile, notes = _run_paradox_march(params, joint, 2 * l_resolve, scan_cap)
+    agg = QualityAggregate(params)
+    support = [int(t) for t in agg.support]
+    dists = [agg.dist(t) for t in support]
+    q_mean = max((t for t, d in zip(support, dists) if t < d.mean - _TIE_EPS), default=None)
+    q_median = max((t for t, d in zip(support, dists) if t < d.median), default=None)
+    scan = list(zip(profile.ks, profile.means, profile.medians))
+    k_mean = max((k for k, m, _ in scan if m > k + _TIE_EPS), default=None)
+    k_median = max((k for k, _, md in scan if md > k), default=None)
     return Criticals(
         quality_mean=q_mean,
         quality_median=q_median,
         degree_mean=k_mean,
         degree_median=k_median,
         baseline="qpa",
-        notes=prof.notes,
+        notes=notes,
     )
 
 

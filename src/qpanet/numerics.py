@@ -4,9 +4,8 @@ Everything downstream works with logarithms of gamma functions and
 binomial coefficients: the closed-form node and neighbor distributions
 are ratios of gamma functions whose raw values overflow float64 long
 before the interesting part of the degree range is reached.  This module
-provides a vectorized log-gamma, exact-enough log-binomials, a stable
-log-sum-exp, and an adaptive summation helper used to truncate the
-infinite degree sums.
+provides a vectorized log-gamma, a stable log-sum-exp, and an adaptive
+summation helper used to truncate the infinite degree sums.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .errors import DomainError, NonConvergenceError
 __all__ = [
     "SeriesResult",
     "ln_gamma",
-    "ln_binomial",
     "sum_log_terms",
     "adaptive_series",
 ]
@@ -50,12 +48,6 @@ _LANCZOS_COEF = np.array(
     ]
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# Memo for integer arguments (the hot path when assembling lattices of
-# gamma values at integer offsets).  Concurrent reads are safe; inserts
-# are idempotent so a lost race only costs a recomputation.
-_INT_CACHE: dict[int, float] = {}
-
 
 def _ln_gamma_raw(x):
     """Lanczos kernel, no domain checks.  ``x`` is a positive float array."""
@@ -87,41 +79,6 @@ def ln_gamma(x):
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
-
-
-def _ln_gamma_int(n: int) -> float:
-    """Memoized ``ln_gamma`` at positive integer arguments."""
-    v = _INT_CACHE.get(n)
-    if v is None:
-        v = float(_ln_gamma_raw(np.float64(n)))
-        _INT_CACHE[n] = v
-    return v
-
-
-def ln_binomial(n: int, k: int) -> float:
-    """Natural log of the binomial coefficient C(n, k).
-
-    Exact-flavored: symmetric in ``k <-> n - k`` by construction, 0.0
-    exactly for k in {0, n}, and within 1e-12 relative error for
-    n up to at least 1e4.
-
-    Raises
-    ------
-    DomainError
-        If ``k < 0`` or ``k > n`` (or ``n < 0``).
-    """
-    n = int(n)
-    k = int(k)
-    if n < 0 or k < 0 or k > n:
-        raise DomainError(f"ln_binomial requires 0 <= k <= n, got n={n}, k={k}")
-    m = min(k, n - k)
-    if m == 0:
-        return 0.0
-    if m <= 512:
-        # sum of log factors; no cancellation, exact to a few ulps
-        i = np.arange(1, m + 1, dtype=float)
-        return float(np.sum(np.log((n - m + i) / i)))
-    return _ln_gamma_int(n + 1) - _ln_gamma_int(k + 1) - _ln_gamma_int(n - k + 1)
 
 
 def sum_log_terms(log_terms) -> float:

@@ -22,7 +22,6 @@ __all__ = [
     "make_exponential",
     "make_custom",
     "load_custom",
-    "pmf_stats",
     "sample_quality",
 ]
 
@@ -169,11 +168,6 @@ def load_custom(path) -> QualityPmf:
     for theta, weight in entries.items():
         weights[theta] = weight
     return make_custom(weights)
-
-
-def pmf_stats(pmf: QualityPmf) -> tuple[float, int]:
-    """(mean, median) of a quality PMF, median per the CDF >= 1/2 rule."""
-    return pmf.mean, pmf.median
 
 
 def sample_quality(pmf: QualityPmf, rng: np.random.Generator, size=None):

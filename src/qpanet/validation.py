@@ -61,24 +61,34 @@ def NN_SAMPLE_POINTS(params):
 
 @dataclass
 class Check:
+    """One cross-check: its verdict and the numbers behind it.
+
+    ``residual`` is the worst deviation found and ``count`` the number of
+    cases it was taken over, where the check has them.
+    """
+
     name: str
     passed: bool
     detail: str
+    residual: float | None = None
+    count: int | None = None
 
 
-def _check(name, residual, bound, extra="") -> Check:
+def _check(name, residual, bound, extra="", count=None) -> Check:
     passed = residual < bound
     detail = f"residual {residual:.3g} < {bound:g}{extra}"
-    return Check(name=name, passed=passed, detail=detail)
+    return Check(name=name, passed=passed, detail=detail, residual=residual, count=count)
 
 
 def check_joint_normalization() -> Check:
     worst = 0.0
+    count = 0
     for params, *_ in NORMALIZATION_GRID():
         table = build_joint_table(params)
         total = float(table.probs.sum()) + table.tail_mass
         worst = max(worst, abs(total - 1.0))
-    return _check("joint normalization", worst, 1e-6)
+        count += 1
+    return _check("joint normalization", worst, 1e-6, count=count)
 
 
 def check_ba_reduction() -> Check:
@@ -94,30 +104,35 @@ def check_ba_reduction() -> Check:
     return _check("pure-degree reduction", worst, 1e-10)
 
 
+def probe_level_masses(params):
+    """Yield (k, mass) at each degree of NN_SAMPLE_POINTS, where
+    mass[theta, phi] = sum_ell P(ell, phi | k, theta), tails included,
+    over the support (``analytic.quality_q_level``)."""
+    probe_ks = {k for k, _ in NN_SAMPLE_POINTS(params)}
+    deepest = max(probe_ks)
+    n_s = len(params.quality.support)
+    march = analytic.NeighborMarch(params, l_resolve=1024, k_hint=deepest)
+    while True:
+        lvl = march.level()
+        if lvl.k in probe_ks:
+            yield lvl.k, analytic.quality_q_level(march, lvl).reshape(n_s, n_s)
+        if lvl.k >= deepest:
+            return
+        march.advance()
+
+
 def check_nn_normalization() -> Check:
     worst = 0.0
+    count = 0
     for params, *_ in NORMALIZATION_GRID():
-        march = analytic.NeighborMarch(params, l_resolve=1024, k_hint=2 * params.beta + 8)
-        probes = NN_SAMPLE_POINTS(params)
-        deepest = max(k for k, _ in probes)
         support = [int(t) for t in params.quality.support]
-        n_s = len(support)
-        while True:
-            lvl = march.level()
-            k = lvl.k
+        probes = NN_SAMPLE_POINTS(params)
+        for k, mass in probe_level_masses(params):
             for pk, pt in probes:
-                if pk != k:
-                    continue
-                ti = support.index(pt)
-                mass = float(lvl.probs.reshape(n_s, n_s, -1)[ti].sum())
-                tail = float(
-                    march.tail_mass(lvl).reshape(n_s, n_s)[ti].sum()
-                )
-                worst = max(worst, abs(mass + tail - 1.0))
-            if k >= deepest:
-                break
-            march.advance()
-    return _check("neighbor conditional normalization", worst, 1e-6)
+                if pk == k:
+                    worst = max(worst, abs(float(mass[support.index(pt)].sum()) - 1.0))
+                    count += 1
+    return _check("neighbor conditional normalization", worst, 1e-6, count=count)
 
 
 def check_median_convention() -> Check:
@@ -205,16 +220,23 @@ def _lt(a, b) -> bool:
     return av < bv
 
 
-def edge_balance_residuals(params, tuples=None):
-    """Diagnostic: how far the neighbor law is from exact edge-end balance.
+# parameter sets of the edge-end balance check, one with a sparse support
+EDGE_BALANCE_PARAMS = (
+    ModelParams(beta=2, quality=make_exponential(0.5, 2)),
+    ModelParams(beta=3, quality=make_exponential(1.5, 4)),
+    ModelParams(beta=5, quality=make_custom([0.5, 0, 0, 0, 0, 0.5])),
+)
 
-    For an exactly consistent edge-end law,
+
+def edge_balance_residuals(params, tuples=None):
+    """Both sides of the edge-end balance at a few (k, theta, ell, phi).
+
+    Every edge has two ends, so counting the edges between the class
+    (k, theta) and the class (ell, phi) from either end must agree:
     k P(k,theta) P(ell,phi | k,theta) = ell P(ell,phi) P(k,theta | ell,phi).
-    The closed forms here come from a mean-field growth argument, so the
-    residual |lhs - rhs| is reported, never asserted.  Returns a list of
+    The closed forms satisfy this exactly.  Returns a list of
     ((k, theta, ell, phi), lhs, rhs) triples.
     """
-    table = build_joint_table(params)
     beta = params.beta
     if tuples is None:
         support = [int(t) for t in params.quality.support]
@@ -239,6 +261,17 @@ def edge_balance_residuals(params, tuples=None):
         )
         out.append(((k, th, ell, ph), lhs, rhs))
     return out
+
+
+def check_edge_balance() -> Check:
+    """Relative edge-end balance residual over EDGE_BALANCE_PARAMS."""
+    worst = 0.0
+    count = 0
+    for params in EDGE_BALANCE_PARAMS:
+        for _, lhs, rhs in edge_balance_residuals(params):
+            worst = max(worst, abs(lhs - rhs) / max(lhs, rhs, 1e-300))
+            count += 1
+    return _check("edge-end balance (relative)", worst, 1e-12, count=count)
 
 
 def check_monte_carlo() -> Check:
@@ -269,6 +302,7 @@ def run_checks(quick: bool = False, threads: int = 1) -> list[Check]:
         check_ba_reduction(),
         check_joint_normalization(),
         check_nn_normalization(),
+        check_edge_balance(),
     ]
     if not quick:
         checks.append(check_orderings(threads=threads))

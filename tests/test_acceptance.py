@@ -12,9 +12,9 @@ import pytest
 from scipy.special import gammaln
 
 from qpanet import validation
-from qpanet.analytic import ModelParams, NeighborMarch, build_joint_table
+from qpanet.analytic import ModelParams, build_joint_table
 from qpanet.cli import main as cli_main
-from qpanet.quality import make_bernoulli, make_custom, make_exponential
+from qpanet.quality import make_custom, make_exponential
 from qpanet.simulate import empirical_report, grow_qpa, joint_histogram, load_graph
 
 from conftest import SWEEP_QS, SWEEP_BETAS, SWEEP_THETA_MAXES
@@ -30,67 +30,36 @@ def none_as(v, sentinel=-1):
 
 def test_criterion_01_joint_normalization_suite():
     t0 = time.monotonic()
-    worst = 0.0
-    count = 0
-    for params, *_ in validation.NORMALIZATION_GRID():
-        table = build_joint_table(params)
-        worst = max(worst, abs(float(table.probs.sum()) + table.tail_mass - 1.0))
-        count += 1
+    check = validation.check_joint_normalization()
     elapsed = time.monotonic() - t0
+    worst = check.residual
     ok = worst < 1e-6 and elapsed < 120.0
     report(
         1,
         "joint normalization suite",
         ok,
-        f"{count} parameter sets, max residual {worst:.2e}, {elapsed:.0f}s",
+        f"{check.count} parameter sets, max residual {worst:.2e}, {elapsed:.0f}s",
     )
     assert worst < 1e-6
     assert elapsed < 120.0
 
 
 def test_criterion_02_pure_degree_reduction():
-    from qpanet.analytic import joint_probability
-
-    worst = 0.0
-    for beta in (2, 4, 8):
-        params = ModelParams(beta=beta, quality=make_bernoulli(1.0, 8))
-        ks = np.arange(beta, 1001)
-        closed = 2.0 * beta * (beta + 1) / (ks * (ks + 1.0) * (ks + 2.0))
-        got = np.array([joint_probability(params, int(k), 0) for k in ks])
-        worst = max(worst, float(np.max(np.abs(got - closed))))
+    worst = validation.check_ba_reduction().residual
     ok = worst < 1e-10
     report(2, "pure-degree reduction", ok, f"max |P - closed| = {worst:.2e}")
     assert ok
 
 
 def test_criterion_03_neighbor_conditional_normalization():
-    worst = 0.0
-    n_points = 0
-    for params, *_ in validation.NORMALIZATION_GRID():
-        probes = validation.NN_SAMPLE_POINTS(params)
-        deepest = max(k for k, _ in probes)
-        march = NeighborMarch(params, l_resolve=1024, k_hint=deepest)
-        support = [int(t) for t in params.quality.support]
-        n_s = len(support)
-        while True:
-            lvl = march.level()
-            for pk, pt in probes:
-                if pk != lvl.k:
-                    continue
-                ti = support.index(pt)
-                mass = float(lvl.probs.reshape(n_s, n_s, -1)[ti].sum())
-                tail = float(march.tail_mass(lvl).reshape(n_s, n_s)[ti].sum())
-                worst = max(worst, abs(mass + tail - 1.0))
-                n_points += 1
-            if lvl.k >= deepest:
-                break
-            march.advance()
+    check = validation.check_nn_normalization()
+    worst = check.residual
     ok = worst < 1e-6
     report(
         3,
         "neighbor conditional normalization",
         ok,
-        f"{n_points} probes, max |sum + tail - 1| = {worst:.2e}",
+        f"{check.count} probes, max |sum + tail - 1| = {worst:.2e}",
     )
     assert ok
 
@@ -195,40 +164,19 @@ WITNESS_SIGMAS = 5.0
 def exact_neighbor_quality_law(params: ModelParams) -> dict:
     """P(phi | theta) for every supported theta, from the closed form alone.
 
-    A node of degree k got ``beta`` links at birth and its other
-    ``k - beta`` links from later arrivals.
+    An independent evaluation of the law derived in
+    ``qpanet.analytic.QualityAggregate``,
 
-    * A birth link picks its target with probability proportional to
-      degree + quality.  Summing the joint law's theta column exactly,
-      E[k + phi | phi] = (beta + phi)(2 beta + mu)/(beta + mu), while the
-      total attachment weight per node is 2 beta + mu.  So a birth target
-      has quality law pi(phi) = rho(phi)(beta + phi)/(beta + mu).
-    * A later neighbor is an arrival, whose quality is a fresh draw from
-      rho whatever node it attaches to.
+        P(phi | theta) = rho(phi) [1 + beta (phi - mu)/(beta + mu) E[1/k | theta]],
 
-    Hence, for a node of degree k and quality theta,
-
-        P(phi | k, theta) = [beta pi(phi) + (k - beta) rho(phi)] / k
-                          = rho(phi) [1 + beta (phi - mu) / ((beta + mu) k)],
-
-    and averaging over the node's degree class,
-
-        P(phi | theta) = rho(phi) [1 + beta (phi - mu)/(beta + mu) E[1/k | theta]].
-
-    E[1/k | theta] is read from the joint law's theta column,
-
-        P(k | theta) = (2 + g) G(k + theta) G(beta + theta + 2 + g)
-                       / (G(beta + theta) G(k + theta + 3 + g)),  g = mu/beta,
-
-    (G the gamma function), summed exactly for beta <= k <= K = INV_K_CUT.
-    The mass beyond K telescopes, sum_{k>K} G(k + a)/G(k + a + c) =
-    G(K + 1 + a) / ((c - 1) G(K + a + c)), so the remainder of
-    E[1/k | theta] lies in [0, T/(K + 1)] with T that exact tail mass.
-    The midpoint is used and the half-width is held below
-    INV_K_MAX_HALF_WIDTH; that moves E[phi | theta] by less than
-    theta_max**2 * 1e-10, far inside TIE_CLEARANCE, so no truncation can
-    decide a critical value.  No march and no degree-summed aggregate is
-    involved.
+    with scipy's log-gamma and a fixed cut: E[1/k | theta] is summed
+    exactly over the joint law's theta column for beta <= k <= K =
+    INV_K_CUT, and the midpoint of the telescoped tail bracket
+    [0, T/(K + 1)] is added, T the column's exact mass beyond K.  The
+    half-width is held below INV_K_MAX_HALF_WIDTH; that moves
+    E[phi | theta] by less than theta_max**2 * 1e-10, far inside
+    TIE_CLEARANCE, so no truncation can decide a critical value.  No
+    march and no degree-summed aggregate is involved.
     """
     pmf = params.quality
     beta = params.beta

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qpanet import validation
 from qpanet._engine import NeighborMarch
 from qpanet.analytic import (
     ModelParams,
+    QualityAggregate,
     build_joint_table,
     joint_probability,
     neighbor_degree_dist,
@@ -16,6 +20,8 @@ from qpanet.analytic import (
 )
 from qpanet.errors import DomainError, UndefinedConditionalError
 from qpanet.quality import make_bernoulli, make_custom, make_exponential
+
+from test_acceptance import exact_neighbor_quality_law
 
 
 def ba_params(beta):
@@ -244,6 +250,62 @@ class TestNeighborQualityDist:
         assert neighbor_quality_dist(params, 2).mean == pytest.approx(
             1.10865, abs=3 * 0.00141
         )
+
+
+# quality weights with sparse supports: each weight is zero or positive
+_weights = st.lists(
+    st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=1, max_size=17
+).filter(lambda w: sum(w) > 0.0)
+
+
+class TestQualityLaw:
+    @settings(max_examples=60, deadline=None)
+    @given(weights=_weights, beta=st.integers(1, 8))
+    @example(weights=[0.5, 0, 0, 0, 0, 0.5], beta=5)
+    @example(weights=[0, 0, 0, 1.0], beta=3)
+    def test_law_properties_on_random_pmfs(self, weights, beta):
+        params = ModelParams(beta=beta, quality=make_custom(weights))
+        pmf = params.quality
+        agg = QualityAggregate(params)
+        oracle = exact_neighbor_quality_law(params)
+        means = []
+        for theta in pmf.support:
+            d = agg.dist(theta)
+            assert list(d.values) == list(pmf.support)
+            assert np.all(d.probs >= 0.0)
+            assert abs(d.probs.sum() - 1.0) < 1e-12
+            assert d.mean >= pmf.mean - 1e-12
+            assert np.max(np.abs(d.probs - oracle[int(theta)][pmf.support])) < 1e-9
+            if pmf.support.size == 1:
+                assert list(d.probs) == [1.0]
+            means.append(d.mean)
+        assert np.all(np.diff(means) <= 1e-12)
+
+    def test_march_mass_matches_exact_law(self):
+        # sum_ell P(ell, phi | k, theta) = (beta/k) pi(phi) + (1 - beta/k) rho(phi),
+        # pi(phi) = rho(phi) (beta + phi)/(beta + mu): at criterion 03's probe
+        # levels the march's resolved mass plus fitted tails must reach it
+        worst = 0.0
+        levels = 0
+        for params, *_ in validation.NORMALIZATION_GRID():
+            beta = params.beta
+            support = params.quality.support
+            rho = params.quality.probs[support]
+            pi = rho * (beta + support) / (beta + params.quality.mean)
+            for k, mass in validation.probe_level_masses(params):
+                exact = (beta / k) * pi + (1.0 - beta / k) * rho
+                worst = max(worst, float(np.max(np.abs(mass - exact[None, :]))))
+                levels += 1
+        assert levels == 108
+        assert worst < 1e-6
+
+    def test_cut_past_degree_cap_raises(self, monkeypatch):
+        from qpanet import analytic
+        from qpanet.errors import NonConvergenceError
+
+        monkeypatch.setattr(analytic, "INV_K_HALF_WIDTH", 0.0)
+        with pytest.raises(NonConvergenceError):
+            QualityAggregate(ModelParams(beta=2, quality=make_exponential(0.5, 4)))
 
 
 class TestNeighborDegreeDist:

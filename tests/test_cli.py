@@ -60,24 +60,26 @@ class TestSweepCommand:
         assert row[4] == ""  # crit_q_mean
 
     def test_domain_error_exits_2(self, tmp_path, capsys):
-        code, _, err = run(
-            [
-                "sweep",
-                "--family",
-                "exponential",
-                "--q",
-                "-1",
-                "--beta",
-                "2",
-                "--theta-max",
-                "8",
-                "-o",
-                str(tmp_path / "x.csv"),
-            ],
-            capsys,
-        )
-        assert code == 2
-        assert "error" in err
+        # each bad grid input is rejected before the sweep starts
+        for flag, value in [
+            ("--q", "-1"),
+            ("--beta", "0"),
+            ("--beta", "2.5"),
+            ("--theta-max", "0"),
+            ("--rel-tol", "-1"),
+        ]:
+            args = {"--q": "0.5", "--beta": "2", "--theta-max": "8", flag: value}
+            out = tmp_path / "x.csv"
+            code, stdout, err = run(
+                ["sweep", "--family", "exponential"]
+                + [part for item in args.items() for part in item]
+                + ["-o", str(out)],
+                capsys,
+            )
+            assert code == 2, (flag, value)
+            assert "error" in err, (flag, value)
+            assert stdout == "", (flag, value)
+            assert not out.exists(), (flag, value)
 
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(["sweep", "--bogus", "1"], capsys)

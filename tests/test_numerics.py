@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln as scipy_gammaln
 
 from qpanet.errors import DomainError, NonConvergenceError
-from qpanet.numerics import adaptive_series, ln_binomial, ln_gamma, sum_log_terms
+from qpanet.numerics import adaptive_series, ln_gamma, sum_log_terms
 
 
 class TestLnGamma:
@@ -47,44 +47,6 @@ class TestLnGamma:
         assert out.shape == (3,)
         for x, v in zip(xs, out):
             assert v == ln_gamma(float(x))
-
-
-class TestLnBinomial:
-    def test_known_values(self):
-        assert ln_binomial(5, 2) == pytest.approx(math.log(10.0), abs=1e-12)
-        assert ln_binomial(7, 0) == 0.0
-        assert ln_binomial(7, 7) == 0.0
-        # big-integer oracle
-        assert ln_binomial(100, 50) == pytest.approx(
-            math.log(math.comb(100, 50)), rel=1e-12
-        )
-
-    def test_exact_oracle_random(self):
-        rng = np.random.default_rng(7)
-        for _ in range(60):
-            n = int(rng.integers(1, 10_000))
-            k = int(rng.integers(0, n + 1))
-            exact = math.log(math.comb(n, k)) if 0 < k < n else 0.0
-            got = ln_binomial(n, k)
-            assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
-
-    def test_symmetry(self):
-        for n, k in [(9, 2), (100, 37), (5000, 11)]:
-            assert ln_binomial(n, k) == ln_binomial(n, n - k)
-
-    def test_gamma_identity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            n = int(rng.integers(1, 10_000))
-            k = int(rng.integers(0, n + 1))
-            via_gamma = ln_gamma(n + 1) - ln_gamma(k + 1) - ln_gamma(n - k + 1)
-            assert ln_binomial(n, k) == pytest.approx(via_gamma, abs=1e-9)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            ln_binomial(5, -1)
-        with pytest.raises(DomainError):
-            ln_binomial(5, 6)
 
 
 class TestSumLogTerms:

@@ -7,7 +7,6 @@ from qpanet.quality import (
     make_bernoulli,
     make_custom,
     make_exponential,
-    pmf_stats,
     sample_quality,
 )
 
@@ -81,17 +80,16 @@ class TestExponential:
 class TestStatsAndInvariants:
     def test_median_convention_half_zero_half_five(self):
         pmf = make_custom([0.5, 0, 0, 0, 0, 0.5])
-        mean, median = pmf_stats(pmf)
-        assert median == 0
-        assert mean == pytest.approx(2.5)
+        assert pmf.median == 0
+        assert pmf.mean == pytest.approx(2.5)
 
     def test_point_mass(self):
         pmf = make_custom([0, 0, 0, 1.0])
-        assert pmf_stats(pmf) == (3.0, 3)
+        assert (pmf.mean, pmf.median) == (3.0, 3)
 
     def test_bernoulli_p02(self):
         pmf = make_bernoulli(0.2, 10)
-        assert pmf_stats(pmf) == (pytest.approx(8.0), 10)
+        assert (pmf.mean, pmf.median) == (pytest.approx(8.0), 10)
 
     def test_random_pmf_invariants(self):
         rng = np.random.default_rng(17)

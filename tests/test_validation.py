@@ -1,5 +1,3 @@
-import pytest
-
 from qpanet import validation
 from qpanet.analytic import ModelParams
 from qpanet.quality import make_exponential
@@ -12,15 +10,21 @@ def test_quick_checks_all_pass():
 
 
 def test_edge_balance_residuals_are_diagnostic_only():
-    # logged, not asserted: the neighbor law derives from a mean-field
-    # argument and need not satisfy exact edge-end balance
+    # edge_balance_residuals only reports both sides of the balance;
+    # check_edge_balance is what asserts them (test_edge_balance_is_exact)
     params = ModelParams(beta=2, quality=make_exponential(0.5, 2))
     rows = validation.edge_balance_residuals(params)
     assert rows
     for (tup, lhs, rhs) in rows:
         assert lhs >= 0.0 and rhs >= 0.0
-        rel = abs(lhs - rhs) / max(lhs, rhs, 1e-300)
-        print(f"edge-balance {tup}: lhs={lhs:.6e} rhs={rhs:.6e} rel={rel:.3e}")
+
+
+def test_edge_balance_is_exact():
+    # k P(k,theta) P(ell,phi | k,theta) = ell P(ell,phi) P(k,theta | ell,phi):
+    # both sides count the edges between the two classes
+    check = validation.check_edge_balance()
+    assert check.count == 4 * len(validation.EDGE_BALANCE_PARAMS)
+    assert check.residual < 1e-12
 
 
 def test_nn_sample_points_in_support():
