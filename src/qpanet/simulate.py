@@ -242,6 +242,8 @@ def _grow(n: int, params: ModelParams, seed: int, uniform_attachment: bool) -> N
     beta = params.beta
     if n <= beta + 1:
         raise DomainError(f"n must exceed beta + 1 = {beta + 1}, got {n}")
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
     rng = np.random.default_rng(np.uint64(seed))
     qualities = sample_quality(params.quality, rng, size=n)
     seed_size = beta + 1
@@ -383,27 +385,22 @@ def load_graph(edge_path, quality_path) -> Network:
     )
 
 
-def _neighbor_stats(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
-    """Per-node mean and median of neighbor values (CDF median convention).
+def _neighbor_stats(own: np.ndarray, indices: np.ndarray, owner: np.ndarray, deg: np.ndarray):
+    """Which nodes sit strictly below the mean and the median of their neighbors.
 
-    Nodes with no neighbors get NaN mean and -1 median.
+    ``own`` holds one integer value per node; ``indices`` is the CSR
+    neighbor array and ``owner`` the node owning each of its entries.  A
+    node of degree ``d`` is below its neighbors' mean exactly when
+    ``own * d < sum``; both sides are integers, and the float sum of
+    integers is exact below 2**53.  It is below their lower (CDF) median
+    exactly when at most ``(d - 1) // 2`` neighbors have a value
+    ``<= own``.  Isolated nodes satisfy neither.
     """
-    n = indptr.size - 1
-    deg = np.diff(indptr)
-    nbr_vals = values[indices].astype(float)
-    owner = np.repeat(np.arange(n), deg)
-    sums = np.bincount(owner, weights=nbr_vals, minlength=n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = np.where(deg > 0, sums / np.maximum(deg, 1), np.nan)
-    # median: sort neighbor values within each node's segment, then take
-    # the smallest value with at least half the neighbors at or below it
-    order = np.lexsort((nbr_vals, owner))
-    snbr = nbr_vals[order]
-    med_idx = indptr[:-1] + (np.maximum(deg, 1) - 1) // 2
-    medians = np.full(n, -1.0)
-    nonzero = deg > 0
-    medians[nonzero] = snbr[med_idx[nonzero]]
-    return means, medians
+    n = own.size
+    nbr = own[indices]
+    sums = np.bincount(owner, weights=nbr, minlength=n)
+    at_most = np.bincount(owner, weights=nbr <= own[owner], minlength=n)
+    return own * deg < sums, at_most <= (deg - 1) // 2
 
 
 def empirical_report(net: Network, include_flags: bool = False) -> EmpiricalReport:
@@ -417,25 +414,14 @@ def empirical_report(net: Network, include_flags: bool = False) -> EmpiricalRepo
     """
     deg = net.degrees
     isolated = int(np.sum(deg == 0))
-    active = deg > 0
-    n_active = int(active.sum())
-    qual = net.qualities.astype(float)
-
-    deg_mean_nbr, deg_med_nbr = _neighbor_stats(
-        deg.astype(np.int64), net.adj_indptr, net.adj_indices
-    )
-    q_mean_nbr, q_med_nbr = _neighbor_stats(
-        net.qualities, net.adj_indptr, net.adj_indices
-    )
-
-    flags = {
-        "degree_mean": active & (deg < deg_mean_nbr),
-        "degree_median": active & (deg < deg_med_nbr),
-        "quality_mean": active & (qual < q_mean_nbr),
-        "quality_median": active & (qual < q_med_nbr),
-    }
-    denom = max(n_active, 1)
-    report = EmpiricalReport(
+    owner = np.repeat(np.arange(net.n), deg)
+    flags = {}
+    for attr, own in (("degree", deg), ("quality", net.qualities)):
+        flags[attr + "_mean"], flags[attr + "_median"] = _neighbor_stats(
+            own, net.adj_indices, owner, deg
+        )
+    denom = max(net.n - isolated, 1)
+    return EmpiricalReport(
         n=net.n,
         isolated=isolated,
         frac_degree_mean=float(flags["degree_mean"].sum()) / denom,
@@ -443,9 +429,8 @@ def empirical_report(net: Network, include_flags: bool = False) -> EmpiricalRepo
         frac_quality_mean=float(flags["quality_mean"].sum()) / denom,
         frac_quality_median=float(flags["quality_median"].sum()) / denom,
         histogram=joint_histogram(net),
-        flags={k: v.copy() for k, v in flags.items()} if include_flags else None,
+        flags=flags if include_flags else None,
     )
-    return report
 
 
 def joint_histogram(net: Network) -> dict:

@@ -229,6 +229,13 @@ class TestSimulateCommand:
         code, _, _ = run(["simulate", "--mode", "qpa", "--n", "100"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("seed, replicas", [(-1, 1), (2**64, 1), (2**64 - 2, 3)])
+    def test_out_of_range_seed_exits_2(self, seed, replicas, capsys):
+        argv = ["simulate", "--n", "100", "--beta", "2", "--q", "0.5", "--theta-max", "4"]
+        code, _, err = run(argv + ["--seed", str(seed), "--replicas", str(replicas)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "seed" in err
+
     def test_threads_flag_rejected(self, capsys):
         # simulation is single-threaded, so the flag is not accepted
         argv = ["simulate", "--n", "100", "--beta", "2", "--q", "0.5", "--theta-max", "4"]

@@ -5,12 +5,15 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qpanet.analytic import ModelParams
 from qpanet.errors import DomainError, GraphParseError
 from qpanet.quality import make_bernoulli, make_exponential
 from qpanet.simulate import (
+    Network,
     _csr_from_edges,
     empirical_report,
     grow_qpa,
@@ -68,6 +71,12 @@ class TestGrowth:
         net = grow_qpa(2000, small_params(2), seed=9)
         assert net.qualities.min() >= 0
         assert net.qualities.max() <= 4
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected(self, seed):
+        for grow in (grow_qpa, grow_uniform):
+            with pytest.raises(DomainError, match="seed"):
+                grow(100, small_params(2), seed)
 
     def test_provenance_and_seed_recorded(self):
         net = grow_uniform(100, small_params(2), seed=4)
@@ -316,6 +325,95 @@ class TestNetworkxOracle:
         assert rep.isolated == want["isolated"]
         for key, value in want.items():
             assert getattr(rep, key) == pytest.approx(value, abs=1e-12), key
+
+
+def flags_by_sort(net: Network) -> dict:
+    """Reference paradox flags: neighbor means by division, medians by lexsort.
+
+    The median of each node's neighbors is read from its segment of the
+    neighbor values sorted by (owner, value), at offset ``(d - 1) // 2``.
+    """
+
+    def stats_of(values):
+        n = net.adj_indptr.size - 1
+        deg = np.diff(net.adj_indptr)
+        nbr_vals = values[net.adj_indices].astype(float)
+        owner = np.repeat(np.arange(n), deg)
+        sums = np.bincount(owner, weights=nbr_vals, minlength=n)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            means = np.where(deg > 0, sums / np.maximum(deg, 1), np.nan)
+        order = np.lexsort((nbr_vals, owner))
+        snbr = nbr_vals[order]
+        med_idx = net.adj_indptr[:-1] + (np.maximum(deg, 1) - 1) // 2
+        medians = np.full(n, -1.0)
+        nonzero = deg > 0
+        medians[nonzero] = snbr[med_idx[nonzero]]
+        return means, medians
+
+    deg = net.degrees
+    active = deg > 0
+    qual = net.qualities.astype(float)
+    deg_mean, deg_med = stats_of(deg.astype(np.int64))
+    q_mean, q_med = stats_of(net.qualities)
+    return {
+        "degree_mean": active & (deg < deg_mean),
+        "degree_median": active & (deg < deg_med),
+        "quality_mean": active & (qual < q_mean),
+        "quality_median": active & (qual < q_med),
+    }
+
+
+def network_of(n: int, edges, qualities) -> Network:
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    indptr, indices = _csr_from_edges(n, edges)
+    return Network(
+        n=n,
+        beta=0,
+        qualities=np.array(qualities, dtype=np.int64),
+        edges=edges,
+        adj_indptr=indptr,
+        adj_indices=indices,
+        provenance="ingested",
+    )
+
+
+@st.composite
+def small_graphs(draw):
+    """Simple graphs of up to 12 nodes with qualities 0..3: many ties,
+    both degree parities, isolated nodes and zero qualities."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    qualities = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return network_of(n, [p for p, k in zip(pairs, keep) if k], qualities)
+
+
+class TestParadoxFlags:
+    def assert_flags_match_sort(self, net):
+        got = empirical_report(net, include_flags=True).flags
+        want = flags_by_sort(net)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    @settings(max_examples=300, deadline=None)
+    @given(net=small_graphs())
+    def test_small_graphs(self, net):
+        self.assert_flags_match_sort(net)
+
+    def test_star(self):
+        self.assert_flags_match_sort(network_of(11, [(0, i) for i in range(1, 11)], [1] * 11))
+
+    def test_triangle(self):
+        self.assert_flags_match_sort(network_of(3, [(0, 1), (1, 2), (2, 0)], [0, 0, 5]))
+
+    @pytest.mark.parametrize(
+        "beta, quality",
+        [(2, make_exponential(0.5, 4)), (3, make_bernoulli(0.5, 50))],
+        ids=["beta2-exponential", "beta3-bernoulli"],
+    )
+    def test_grown_network(self, beta, quality):
+        self.assert_flags_match_sort(grow_qpa(200_000, ModelParams(beta=beta, quality=quality), 5))
 
 
 class TestJointHistogram:
