@@ -18,6 +18,12 @@ Values along a row span hundreds of orders of magnitude, so rows are
 stored in linear float64 against per-block exponent offsets (blocks are
 geometric in ell).  That keeps the hot loop on ``np.cumsum`` instead of
 ``np.logaddexp.accumulate``, which is an order of magnitude slower.
+
+The degree scan reads only P(ell | k), a weighted sum of the rows over
+(theta, phi).  ``NeighborMarch.degree_row`` forms that sum block by
+block from the j-sum state and a prefactor carried from level to level
+by rational factors, so a scan level costs no ``exp`` per cell and one
+tail fit.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ from .numerics import _ln_gamma_raw
 _RENORM_THRESHOLD = 1e200
 _BLOCK_RATIO = 1.3
 _MIN_BLOCK = 8
+# largest ln(prefactor ratio) inside one block that the contracted reader
+# carries in float64 (exp(600) ~ 1e260); beyond it rows are assembled per cell
+_PREF_SPREAD_MAX = 600.0
 
 
 def _block_bounds(n: int) -> list[tuple[int, int]]:
@@ -67,21 +76,19 @@ class _ScaledRows:
             self.off[:, b] = m
             self.vals[:, lo:hi] = np.exp(seg - m[:, None])
 
-    def advance(self, seed_log: np.ndarray | None) -> None:
+    def advance(self, seed_log: np.ndarray) -> None:
         """One level of G(a, b) = G(a-1, b) + G(a, b-1).
 
-        Replaces entry 0 with ``exp(seed_log)`` (or zero) and takes a
-        running cumulative sum along i, carrying across blocks.
+        Replaces entry 0 with ``exp(seed_log)`` (zero where it is
+        ``-inf``) and takes a running cumulative sum along i, carrying
+        across blocks.
         """
         vals, off = self.vals, self.off
         carry = None  # (linear carry, its offset), per row
         for b, (lo, hi) in enumerate(self.blocks):
             seg = vals[:, lo:hi]
             if b == 0:
-                if seed_log is None:
-                    seg[:, 0] = 0.0
-                else:
-                    seg[:, 0] = np.exp(seed_log - off[:, 0])
+                seg[:, 0] = np.exp(seed_log - off[:, 0])
             np.cumsum(seg, axis=1, out=seg)
             if carry is not None:
                 c_lin, c_off = carry
@@ -94,7 +101,8 @@ class _ScaledRows:
                     off[:, b] += shift
                     gap = gap - shift
                 seg += (c_lin * np.exp(gap))[:, None]
-            m = np.max(seg, axis=1)
+            # rows are nondecreasing, so the block maximum is its last entry
+            m = seg[:, -1]
             big = m > _RENORM_THRESHOLD
             if np.any(big):
                 scale = np.where(big, m, 1.0)
@@ -129,6 +137,11 @@ class NeighborMarch:
     follows the known power-law tail ``ell**-(2 + mu/beta)``, whose
     amplitude and finite-ell corrections are fitted per pair at every
     level (see ``power_tail_fit``).
+
+    Two readers: ``level()`` assembles the full ``[n_pairs, n_ell]``
+    table with one tail fit per pair; ``degree_row(w)`` contracts the
+    pairs with per-theta weights before any cell is materialized and
+    fits the tail of that one row.
     """
 
     def __init__(self, params, l_resolve: int = 1024, k_hint: int = 0):
@@ -147,6 +160,7 @@ class NeighborMarch:
         self.k = beta
 
         tmax = params.quality.theta_max
+        self._theta_max = tmax
         # ordered-pair weights reach j = beta + j_count; marching is allowed
         # up to that focal degree
         self._j_count = max(self.n_ell, 2048, int(k_hint) - beta + 8)
@@ -167,13 +181,15 @@ class NeighborMarch:
         pair_pos = {pair: p for p, pair in enumerate(self.pairs)}
         swap = [pair_pos[(f, t)] for (t, f) in self.pairs]
         blocks = _block_bounds(self.n_ell)
-        # S1 table rows: pair (theta, phi) uses its own weights; level beta = empty
-        self._rows = _ScaledRows(np.full((self.n_pairs, self.n_ell), -np.inf), blocks)
-        # S2 table rows: pair (theta, phi) uses swapped weights, initialized at
-        # level beta to the running weight sum over j <= ell
-        init = np.full((self.n_pairs, self.n_ell), -np.inf)
-        init[:, 1:] = self._ln_cumw[swap][:, : self.n_ell - 1]
-        self._cols = _ScaledRows(init, blocks)
+        # rows [0, n_pairs) hold the S1 table: pair (theta, phi) uses its own
+        # weights and is empty at level beta.  Rows [n_pairs, 2 n_pairs) hold
+        # the S2 table: pair (theta, phi) uses swapped weights, initialized at
+        # level beta to the running weight sum over j <= ell, and is never
+        # seeded again.
+        init = np.full((2 * self.n_pairs, self.n_ell), -np.inf)
+        init[self.n_pairs :, 1:] = self._ln_cumw[swap][:, : self.n_ell - 1]
+        self._state = _ScaledRows(init, blocks)
+        self._seed = np.full(2 * self.n_pairs, -np.inf)
 
         theta_arr = np.array([t for (t, _) in self.pairs])
         phi_arr = np.array([f for (_, f) in self.pairs])
@@ -190,32 +206,133 @@ class NeighborMarch:
         # k-independent, ell-dependent prefactor piece lnGamma(ell + phi)
         self._pref_ell = self._gli[self.ells[None, :] + phi_arr[:, None]]
         self._blocks = blocks
-        self._level_cache: MarchLevel | None = self._make_level()
+        self._level_cache: MarchLevel | None = None
 
-    def _make_level(self) -> MarchLevel:
+        # contracted reader: the prefactor relative to its value at each
+        # block's last ell, carried from level to level (see _pref_ratio)
+        lo = np.array([lo for lo, _ in blocks])
+        ends = np.array([hi - 1 for _, hi in blocks])
+        self._ends = ends
+        self._end_of = np.repeat(ends, ends - lo + 1)
+        self._span = (ends - lo).astype(float)
+        self._span_lo = self.ells[lo].astype(float)
+        self._s_vals, self._s_idx = np.unique(theta_arr + phi_arr, return_inverse=True)
+        self._ratio: np.ndarray | None = None
+        self._ratio_k: int | None = None
+
+    def _ln_pref(self, cols) -> np.ndarray:
+        """Log prefactor at the current k, all pairs, on the ell columns ``cols``.
+
+        ln[rho(phi) G(k+theta+3+g) G(ell+phi) G(beta+2+phi+g)
+           / (k G(k+theta+ell+phi+3+g) G(beta+phi))], G the gamma function.
+        """
         k = self.k
         theta = self._theta_of_pair
         pref_scalar = self._pref_const - math.log(k) + self._glf[k + theta + 1]
-        ln_pref = pref_scalar[:, None] + self._pref_ell - self._glf[self._base_idx + k]
+        return pref_scalar[:, None] + self._pref_ell[:, cols] - self._glf[self._base_idx[:, cols] + k]
+
+    def _make_level(self) -> MarchLevel:
+        ln_pref = self._ln_pref(slice(None))
         # combine the two j-sum tables and the prefactor in linear space,
-        # block by block (each block has one exponent offset per pair)
+        # block by block (each block has one exponent offset per row)
         probs = np.empty_like(ln_pref)
-        rows, cols = self._rows, self._cols
+        n = self.n_pairs
+        vals, off = self._state.vals, self._state.off
         for b, (lo, hi) in enumerate(self._blocks):
-            off_r = rows.off[:, b]
-            off_c = cols.off[:, b]
+            off_r = off[:n, b]
+            off_c = off[n:, b]
             m = np.maximum(off_r, off_c)
-            s = rows.vals[:, lo:hi] * np.exp(off_r - m)[:, None]
-            s += cols.vals[:, lo:hi] * np.exp(off_c - m)[:, None]
+            s = vals[:n, lo:hi] * np.exp(off_r - m)[:, None]
+            s += vals[n:, lo:hi] * np.exp(off_c - m)[:, None]
             scale = np.exp(np.minimum(ln_pref[:, lo:hi] + m[:, None], 700.0))
             probs[:, lo:hi] = s * scale
         tail_coef = power_tail_fit(probs, self.ells, 2.0 + self.g)
-        return MarchLevel(k=k, probs=probs, tail_coef=tail_coef)
+        return MarchLevel(k=self.k, probs=probs, tail_coef=tail_coef)
 
     def level(self) -> MarchLevel:
         if self._level_cache is None:
             self._level_cache = self._make_level()
         return self._level_cache
+
+    def _pref_spread(self) -> float:
+        """Upper bound on ln(prefactor ratio) across one block at the current k.
+
+        Within a block the ratio of the first to the last ell's prefactor
+        is a product of factors 1 + (theta + k + 3 + g)/(ell + phi).
+        """
+        c = self._theta_max + self.k + 3.0 + self.g
+        return float(np.max(self._span * np.log1p(c / self._span_lo)))
+
+    def _pref_ratio(self) -> np.ndarray:
+        """Prefactor over its value at the block's last ell, per cell, at k.
+
+        Along ell the prefactor falls by pref(ell) / pref(ell + 1) =
+        (s + ell + k + 3 + g) / (ell + phi), s = theta + phi, so a block's
+        ratios are a reversed cumulative product of those factors.  From
+        k to k + 1 every ratio gains (s + e + k + 3 + g) / (s + ell + k + 3 + g),
+        e the block's last ell: one table over (s, ell) per level, not
+        one ``exp`` per cell.
+        """
+        k = self.k
+        if self._ratio_k == k:
+            return self._ratio
+        if self._ratio_k == k - 1:
+            # d = s + ell + (k - 1) + 3 + g over (s, ell)
+            d = self._s_vals[:, None] + (self.ells + (k + 2.0 + self.g))[None, :]
+            step = d[:, self._end_of] / d
+            self._ratio *= step[self._s_idx]
+        else:
+            s = (self._theta_of_pair + self._phi_of_pair)[:, None]
+            f = (s + self.ells[None, :] + (k + 3.0 + self.g)) / (
+                self.ells[None, :] + self._phi_of_pair[:, None]
+            )
+            ratio = np.empty_like(f)
+            for lo, hi in self._blocks:
+                ratio[:, lo : hi - 1] = np.cumprod(f[:, lo : hi - 1][:, ::-1], axis=1)[:, ::-1]
+                ratio[:, hi - 1] = 1.0
+            self._ratio = ratio
+        self._ratio_k = k
+        return self._ratio
+
+    def degree_row(self, w_theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sum over pairs of w[theta] P(ell, phi | k, theta), its tail model).
+
+        ``w_theta`` weights the supported qualities in order.  The row is
+        contracted block by block: each (row, block) of the j-sum state
+        gets one scalar (weight, state offset, prefactor at the block's
+        last ell) and the carried prefactor ratio supplies the rest.
+        Returns the resolved row and [1, 3] tail coefficients.
+        """
+        w = np.repeat(np.asarray(w_theta, dtype=float), len(self.support))
+        row = None
+        if self._pref_spread() <= _PREF_SPREAD_MAX:
+            row = self._contract(w)
+        if row is None or not np.all(np.isfinite(row)):
+            # the ratio would leave float range: assemble cell by cell
+            row = w @ self.level().probs
+        return row, power_tail_fit(row[None, :], self.ells, 2.0 + self.g)
+
+    def _contract(self, w: np.ndarray) -> np.ndarray:
+        ratio = self._pref_ratio()
+        st = self._state
+        n = self.n_pairs
+        with np.errstate(divide="ignore"):
+            ln_end = self._ln_pref(self._ends) + np.log(w)[:, None]
+        ln_c = st.off + np.concatenate((ln_end, ln_end))  # [2 n_pairs, n_blocks]
+        # empty (row, block)s must not set the block's scale
+        ln_c[st.vals[:, self._ends] == 0.0] = -np.inf
+        top = ln_c.max(axis=0)
+        top[~np.isfinite(top)] = 0.0
+        c = np.exp(ln_c - top).reshape(2, n, -1)
+        scale = np.exp(top)
+        row = np.empty(self.n_ell)
+        # einsum, not a BLAS matvec: BLAS threads stall when sweep threads
+        # already occupy every core
+        for b, (lo, hi) in enumerate(self._blocks):
+            seg = st.vals[:, lo:hi].reshape(2, n, hi - lo)
+            row[lo:hi] = np.einsum("rpi,rp,pi->i", seg, c[:, :, b], ratio[:, lo:hi])
+            row[lo:hi] *= scale[b]
+        return row
 
     def advance(self) -> None:
         """Move from focal degree k to k + 1."""
@@ -223,8 +340,8 @@ class NeighborMarch:
         idx = self.k - self.beta - 1
         if idx >= self._j_count:
             raise RuntimeError("march exceeded precomputed weight range")
-        self._rows.advance(self._ln_cumw[:, idx])
-        self._cols.advance(None)
+        self._seed[: self.n_pairs] = self._ln_cumw[:, idx]
+        self._state.advance(self._seed)
         self._level_cache = None
 
     def tail_mass(self, lvl: MarchLevel, upto=None) -> np.ndarray:
@@ -241,13 +358,22 @@ def power_tail_fit(rows: np.ndarray, ells: np.ndarray, s: float) -> np.ndarray:
     where the fit misbehaves (structural zeros, pre-asymptotic data)
     fall back to a single-term window estimate.
     """
+    return _tail_fit(rows, ells, s)[0]
+
+
+def _tail_fit(rows: np.ndarray, ells: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(``power_tail_fit`` coefficients, mask of the rows that fell back).
+
+    Only on fallback rows is the fit not linear in the data: without them
+    the fit of a weighted sum of rows is the weighted sum of their fits.
+    """
     n = rows.shape[1]
     lo = n // 2
     out = np.zeros((rows.shape[0], 3))
     if n - lo < 8:
         c = rows[:, -1] * float(ells[-1]) ** s
         out[:, 0] = np.maximum(np.where(np.isfinite(c), c, 0.0), 0.0)
-        return out
+        return out, np.ones(rows.shape[0], dtype=bool)
     lw = ells[lo:].astype(float)
     with np.errstate(over="ignore"):
         y = rows[:, lo:] * lw**s
@@ -263,7 +389,7 @@ def power_tail_fit(rows: np.ndarray, ells: np.ndarray, s: float) -> np.ndarray:
     bad = (coef[:, 0] < 0.0) | (val_end < 0.0) | ~np.isfinite(coef).all(axis=1)
     coef[bad] = 0.0
     coef[bad, 0] = fallback[bad]
-    return coef
+    return coef, bad
 
 
 def tail_power_sum(coef: np.ndarray, s: float, l_end: int, upto=None) -> np.ndarray:

@@ -13,6 +13,7 @@ unbounded degree sums.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -359,16 +360,25 @@ def _l_resolve_for(rel_tol: float, floor: int = 1024) -> int:
 
 
 _JOINT_CACHE: dict = {}
+_JOINT_CACHE_SIZE = 4
+_JOINT_CACHE_LOCK = threading.Lock()
 
 
 def _cached_joint(params: ModelParams, rel_tol: float) -> JointTable:
+    """Joint table from a small FIFO cache shared by sweep threads.
+
+    A miss builds outside the lock, so two threads may build the same
+    table; the second insert just replaces the first.
+    """
     key = (params.key(), float(rel_tol))
-    table = _JOINT_CACHE.get(key)
+    with _JOINT_CACHE_LOCK:
+        table = _JOINT_CACHE.get(key)
     if table is None:
         table = build_joint_table(params, rel_tol=rel_tol)
-        if len(_JOINT_CACHE) >= 4:
-            _JOINT_CACHE.pop(next(iter(_JOINT_CACHE)))
-        _JOINT_CACHE[key] = table
+        with _JOINT_CACHE_LOCK:
+            if key not in _JOINT_CACHE and len(_JOINT_CACHE) >= _JOINT_CACHE_SIZE:
+                _JOINT_CACHE.pop(next(iter(_JOINT_CACHE)), None)
+            _JOINT_CACHE[key] = table
     return table
 
 
@@ -507,27 +517,25 @@ class DegreeProfile:
         self.ks: list[int] = []
         self.means: list[float] = []
         self.medians: list[int] = []
-        self._n_support = len(params.quality.support)
+        self._support = [int(t) for t in params.quality.support]
 
-    def add_level(self, march: NeighborMarch, lvl) -> None:
-        pl, coef = self._degree_row(march, lvl)
+    def add_level(self, march: NeighborMarch) -> None:
+        """Record the march's current focal degree."""
+        pl, coef = self._degree_row(march)
         mean, median, _ = _degree_stats(
             march.ells, pl, coef, self.params.mu_over_beta, self.ell_cap
         )
-        self.ks.append(lvl.k)
+        self.ks.append(march.k)
         self.means.append(mean)
         self.medians.append(median)
 
-    def _degree_row(self, march: NeighborMarch, lvl):
-        """(P(ell | k) resolved row, its tail-model coefficients)."""
-        params = self.params
-        n_s = self._n_support
-        by_theta = lvl.probs.reshape(n_s, n_s, -1).sum(axis=1)
-        w = self.joint.p_theta_given_k(lvl.k)[[int(t) for t in params.quality.support]]
-        pl = w @ by_theta
-        coef_by_theta = lvl.tail_coef.reshape(n_s, n_s, 3).sum(axis=1)
-        coef = (w @ coef_by_theta)[None, :]
-        return pl, coef
+    def _degree_row(self, march: NeighborMarch):
+        """(P(ell | k) resolved row, its tail-model coefficients) at the march's k.
+
+        The march contracts over (theta, phi) with weights P(theta | k)
+        and fits one tail, without assembling the full level.
+        """
+        return march.degree_row(self.joint.p_theta_given_k(march.k)[self._support])
 
 
 def neighbor_quality_dist(params: ModelParams, theta: int) -> NeighborDist:
@@ -575,7 +583,7 @@ def neighbor_degree_dist(
     while march.k < k:
         march.advance()
     profile = DegreeProfile(params, joint, ell_cap=ell_cap)
-    pl, coef = profile._degree_row(march, march.level())
+    pl, coef = profile._degree_row(march)
     mean, median, tail = _degree_stats(march.ells, pl, coef, params.mu_over_beta, ell_cap)
     return NeighborDist(
         kind="degree-given-k",

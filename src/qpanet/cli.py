@@ -246,6 +246,8 @@ def cmd_simulate(args) -> int:
     params = analytic.ModelParams(beta=args.beta, quality=pmf)
     grow = simulate.grow_qpa if args.mode == "qpa" else simulate.grow_uniform
     seeds = [args.seed + i for i in range(args.replicas)]
+    if seeds[0] < 0 or seeds[-1] >= 2**64:
+        raise DomainError(f"seeds {seeds[0]}..{seeds[-1]} must lie in [0, 2**64)")
     reps = []
     pooled: dict = {}
     t0 = time.monotonic()

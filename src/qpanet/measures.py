@@ -116,7 +116,7 @@ def _run_paradox_march(
     notes = []
     while True:
         k = march.k
-        profile.add_level(march, march.level())
+        profile.add_level(march)
         if profile.means[-1] > k + _TIE_EPS:
             fail_mean = 0
         else:

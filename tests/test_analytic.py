@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpanet import validation
-from qpanet._engine import NeighborMarch
+from qpanet._engine import NeighborMarch, _tail_fit, tail_power_sum, tail_weighted_sum
 from qpanet.analytic import (
     ModelParams,
     QualityAggregate,
@@ -213,6 +213,171 @@ class TestMarchAgainstDirect:
             assert mass + tail == pytest.approx(1.0, abs=1e-6)
 
 
+def _scan_depth(params, joint):
+    """Last focal degree the degree-paradox scan reads for ``params``."""
+    from qpanet.measures import SCAN_CAP_DEFAULT, _run_paradox_march
+
+    profile, _ = _run_paradox_march(params, joint, 1024, SCAN_CAP_DEFAULT)
+    return profile.ks[-1]
+
+
+def _prefactor_rtol(march):
+    """Relative agreement two float64 evaluations of a level can reach.
+
+    Both readers take the prefactor from log-gammas as large as
+    lnG(k + theta + ell + phi + 3 + g), ~6e3 at ell ~ 1e3, whose rounding
+    (a few ulp of that size, ~3e-12 relative) dominates at large ell.
+    """
+    tmax = march.params.quality.theta_max
+    mag = np.array(
+        [math.lgamma(ell + march.k + 2 * tmax + 3 + march.g) for ell in march.ells]
+    )
+    return 1e-12 + 8 * np.finfo(float).eps * mag
+
+
+def _tail_model(coef, ells, s):
+    """The fitted tail model on the fit window, its mass and its capped mean."""
+    window = ells[ells.size // 2 :].astype(float)
+    values = sum(coef[:, r : r + 1] * window ** -(s + r) for r in range(3))
+    l_end = int(ells[-1])
+    return np.concatenate(
+        (
+            values.ravel(),
+            tail_power_sum(coef, s, l_end),
+            tail_weighted_sum(coef, s, l_end, 10**4),
+        )
+    )
+
+
+CONTRACTION_CASES = [
+    (2, make_exponential(0.5, 4)),
+    (5, make_custom([0.5, 0, 0, 0, 0, 0.5])),
+    (8, make_bernoulli(0.5, 24)),
+]
+
+
+class TestContractedDegreeRow:
+    @pytest.mark.parametrize("beta, pmf", CONTRACTION_CASES)
+    def test_equals_contracted_full_level(self, beta, pmf):
+        # the row the degree scan reads, contracted before materializing,
+        # against the full level summed over phi and weighted by P(theta | k)
+        params = ModelParams(beta=beta, quality=pmf)
+        joint = build_joint_table(params)
+        depth = _scan_depth(params, joint)
+        support = [int(t) for t in pmf.support]
+        n_s = len(support)
+        s = 2.0 + params.mu_over_beta
+        march = NeighborMarch(params, l_resolve=1024, k_hint=depth)
+        fallbacks = 0
+        while True:
+            w = joint.p_theta_given_k(march.k)[support]
+            row, coef = march.degree_row(w)
+            lvl = march.level()
+            want = w @ lvl.probs.reshape(n_s, n_s, -1).sum(axis=1)
+            assert np.all((row == 0.0) == (want == 0.0))
+            nz = want > 0.0
+            rel = np.abs(row - want)[nz] / want[nz]
+            assert np.all(rel < _prefactor_rtol(march)[nz]), (march.k, rel.max())
+            # without fallback rows the fit is linear in the data, so the
+            # contracted row's tail model is the contraction of the per-pair
+            # models; the three coefficients themselves are ill-conditioned
+            # (normal equations on 1, 1/ell, 1/ell**2 over [L/2, L]), so the
+            # models are compared, not the coefficients
+            fallbacks += int(_tail_fit(lvl.probs, march.ells, s)[1].sum())
+            contracted = (np.repeat(w, n_s) @ lvl.tail_coef)[None, :]
+            got_model = _tail_model(coef, march.ells, s)
+            want_model = _tail_model(contracted, march.ells, s)
+            np.testing.assert_allclose(
+                got_model, want_model, rtol=_prefactor_rtol(march)[-1], atol=0.0
+            )
+            if march.k >= depth:
+                break
+            march.advance()
+            self._assert_rows_nondecreasing(march)
+        assert fallbacks == 0
+
+    @staticmethod
+    def _assert_rows_nondecreasing(march):
+        # the invariant behind reading each block's maximum as its last entry
+        state = march._state
+        for lo, hi in state.blocks:
+            seg = state.vals[:, lo:hi]
+            assert np.all(np.diff(seg, axis=1) >= 0.0)
+        logs = state.log_values()
+        assert np.all(logs[:, 1:] >= logs[:, :-1] - 1e-12)
+
+    def test_carried_prefactor_matches_rebuilt(self):
+        # a march read at every level carries the prefactor ratio by
+        # recurrence; one read only at the end rebuilds it from scratch
+        params = ModelParams(beta=3, quality=make_exponential(0.8, 6))
+        w = np.full(7, 1.0 / 7)
+        every = NeighborMarch(params, l_resolve=512, k_hint=40)
+        once = NeighborMarch(params, l_resolve=512, k_hint=40)
+        while every.k < 40:
+            every.degree_row(w)
+            every.advance()
+            once.advance()
+        got, _ = every.degree_row(w)
+        want, _ = once.degree_row(w)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_cell_assembly_beyond_float_range(self, monkeypatch):
+        # past the prefactor spread one block can carry, the row is
+        # assembled from the full level instead
+        from qpanet import _engine
+
+        params = ModelParams(beta=2, quality=make_exponential(0.5, 4))
+        w = np.full(5, 0.2)
+        march = NeighborMarch(params, l_resolve=256, k_hint=12)
+        while march.k < 12:
+            march.advance()
+        contracted, _ = march.degree_row(w)
+        monkeypatch.setattr(_engine, "_PREF_SPREAD_MAX", -1.0)
+        assembled, _ = march.degree_row(w)
+        np.testing.assert_allclose(
+            contracted, assembled, rtol=_prefactor_rtol(march).max(), atol=0.0
+        )
+
+
+class TestMarchEdgeBalance:
+    @pytest.mark.parametrize(
+        "beta, pmf",
+        [
+            (2, make_exponential(0.5, 4)),
+            (5, make_custom([0.5, 0, 0, 0, 0, 0.5])),
+            (3, make_bernoulli(0.3, 8)),
+        ],
+    )
+    def test_every_level_balances(self, beta, pmf):
+        # k P(k,theta) P(ell,phi | k,theta) = ell P(ell,phi) P(k,theta | ell,phi):
+        # both sides count edges between the two classes, and one march
+        # yields both sides from its full levels
+        from qpanet.analytic import _joint_rows
+
+        params = ModelParams(beta=beta, quality=pmf)
+        top = 60
+        support = [int(t) for t in pmf.support]
+        n_s = len(support)
+        joint = _joint_rows(params, beta, top)[:, support]  # [k - beta, theta]
+        march = NeighborMarch(params, l_resolve=64, k_hint=top)
+        levels = []
+        while True:
+            levels.append(march.level().probs.reshape(n_s, n_s, -1)[:, :, : top - beta + 1])
+            if march.k == top:
+                break
+            march.advance()
+        nn = np.stack(levels)  # [k, theta, phi, ell], degrees from beta
+        ks = np.arange(beta, top + 1, dtype=float)
+        lhs = ks[:, None, None, None] * joint[:, :, None, None] * nn
+        rhs = np.transpose(
+            ks[:, None, None, None] * joint[:, :, None, None] * nn, (3, 2, 1, 0)
+        )
+        scale = np.maximum(np.abs(lhs), np.abs(rhs))
+        assert np.all((lhs == 0.0) == (rhs == 0.0))
+        nz = scale > 0.0
+        assert np.max(np.abs(lhs - rhs)[nz] / scale[nz]) < 1e-12
+
+
 class TestNeighborQualityDist:
     def test_single_quality_is_point_mass(self):
         d = neighbor_quality_dist(ba_params(2), 0)
@@ -364,3 +529,44 @@ class TestNnTableDump:
         tail = float(lines[3].split("=")[1])
         total = sum(float(ln.split(",")[2]) for ln in lines[5:])
         assert total + tail == pytest.approx(1.0, abs=1e-6)
+
+
+class TestJointCache:
+    def test_concurrent_lookups(self, monkeypatch):
+        # eight threads over six models share the four-entry cache; slow
+        # builds keep several misses in flight, and an eviction that yields
+        # the GIL lets two threads pick the same oldest entry
+        import threading
+        import time
+
+        from qpanet import analytic
+
+        class SlowPop(dict):
+            def pop(self, *args):
+                time.sleep(0.001)
+                return super().pop(*args)
+
+        def slow_build(params, rel_tol):
+            time.sleep(0.002)
+            return params
+
+        monkeypatch.setattr(analytic, "_JOINT_CACHE", SlowPop())
+        monkeypatch.setattr(analytic, "build_joint_table", slow_build)
+        models = [ModelParams(beta=b, quality=make_exponential(0.5, 2)) for b in range(1, 7)]
+        errors = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for i in rng.integers(0, len(models), size=40):
+                    assert analytic._cached_joint(models[i], 1e-10) is models[i]
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert len(analytic._JOINT_CACHE) <= 4

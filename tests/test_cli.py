@@ -236,6 +236,18 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("error:") and "seed" in err
 
+    def test_seed_span_checked_before_growth(self, monkeypatch, capsys):
+        # the last of three seeds is 2**64: nothing may be grown first
+        from qpanet import simulate
+
+        calls = []
+        monkeypatch.setattr(simulate, "grow_qpa", lambda *a: calls.append(a))
+        argv = ["simulate", "--n", "100", "--beta", "2", "--q", "0.5", "--theta-max", "4"]
+        code, _, err = run(argv + ["--seed", str(2**64 - 2), "--replicas", "3"], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert calls == []
+
     def test_threads_flag_rejected(self, capsys):
         # simulation is single-threaded, so the flag is not accepted
         argv = ["simulate", "--n", "100", "--beta", "2", "--q", "0.5", "--theta-max", "4"]
