@@ -10,9 +10,11 @@ recurrence
 
 in the (focal degree, neighbor degree) plane, because the binomial
 kernel C(a - j + b - beta, b - beta) is an iterated prefix sum over
-each index.  Marching k upward therefore costs one running cumulative
-sum over the ell axis per step and per ordered quality pair, which is
-how this module evaluates the distribution for every ell at once.
+each index.  The recurrence is linear and both j-sums share the
+prefactor, so their sum is marched as one table: marching k upward
+costs one running cumulative sum over the ell axis per step and per
+ordered quality pair, which is how this module evaluates the
+distribution for every ell at once.
 
 Values along a row span hundreds of orders of magnitude, so rows are
 stored in linear float64 against per-block exponent offsets (blocks are
@@ -138,10 +140,12 @@ class NeighborMarch:
     amplitude and finite-ell corrections are fitted per pair at every
     level (see ``power_tail_fit``).
 
-    Two readers: ``level()`` assembles the full ``[n_pairs, n_ell]``
-    table with one tail fit per pair; ``degree_row(w)`` contracts the
-    pairs with per-theta weights before any cell is materialized and
-    fits the tail of that one row.
+    The state is one j-sum table of ``[n_pairs, n_ell]`` cells, the sum
+    of the two j-sums of the closed form.  Two readers scale it by the
+    prefactor: ``level()`` assembles the full table with one tail fit
+    per pair; ``degree_row(w)`` contracts the pairs with per-theta
+    weights before any cell is materialized and fits the tail of that
+    one row.
     """
 
     def __init__(self, params, l_resolve: int = 1024, k_hint: int = 0):
@@ -163,7 +167,7 @@ class NeighborMarch:
         self._theta_max = tmax
         # ordered-pair weights reach j = beta + j_count; marching is allowed
         # up to that focal degree
-        self._j_count = max(self.n_ell, 2048, int(k_hint) - beta + 8)
+        self._j_count = max(self.n_ell, int(k_hint) - beta + 8)
         # gamma lattices: frac[m] = lnGamma(m + 2 + g), integer[m] = lnGamma(m)
         j_top = self._j_count + beta + 1
         m_top = j_top + self.n_ell + beta + 4 * tmax + 16
@@ -172,27 +176,29 @@ class NeighborMarch:
             ([np.inf], _ln_gamma_raw(np.arange(1, m_top, dtype=float)))
         )
 
+        theta_arr = np.array([t for (t, _) in self.pairs])
+        phi_arr = np.array([f for (_, f) in self.pairs])
         j = beta + 1 + np.arange(self._j_count)
-        lnw = np.empty((self.n_pairs, self._j_count))
-        for p, (a, b) in enumerate(self.pairs):
-            lnw[p] = self._glf[j + a + beta + b] - self._glf[j + a] - self._glf[beta + b]
+        lnw = (
+            self._glf[j[None, :] + (theta_arr + beta + phi_arr)[:, None]]
+            - self._glf[j[None, :] + theta_arr[:, None]]
+            - self._glf[beta + phi_arr][:, None]
+        )
         self._ln_cumw = np.logaddexp.accumulate(lnw, axis=1)
 
         pair_pos = {pair: p for p, pair in enumerate(self.pairs)}
         swap = [pair_pos[(f, t)] for (t, f) in self.pairs]
         blocks = _block_bounds(self.n_ell)
-        # rows [0, n_pairs) hold the S1 table: pair (theta, phi) uses its own
-        # weights and is empty at level beta.  Rows [n_pairs, 2 n_pairs) hold
-        # the S2 table: pair (theta, phi) uses swapped weights, initialized at
-        # level beta to the running weight sum over j <= ell, and is never
-        # seeded again.
-        init = np.full((2 * self.n_pairs, self.n_ell), -np.inf)
-        init[self.n_pairs :, 1:] = self._ln_cumw[swap][:, : self.n_ell - 1]
+        # one row per pair (theta, phi) holds T = S1 + S2.  S1 uses the pair's
+        # own weights, is empty at level beta and is seeded at entry 0 every
+        # level; S2 uses the swapped pair's weights, starts at level beta as
+        # the running weight sum over j <= ell and is never seeded (its entry
+        # 0 stays zero).  The recurrence is linear and both halves share one
+        # prefactor, so their sum is marched and read as one table.
+        init = np.full((self.n_pairs, self.n_ell), -np.inf)
+        init[:, 1:] = self._ln_cumw[swap][:, : self.n_ell - 1]
         self._state = _ScaledRows(init, blocks)
-        self._seed = np.full(2 * self.n_pairs, -np.inf)
 
-        theta_arr = np.array([t for (t, _) in self.pairs])
-        phi_arr = np.array([f for (_, f) in self.pairs])
         self._theta_of_pair = theta_arr
         self._phi_of_pair = phi_arr
         with np.errstate(divide="ignore"):
@@ -233,19 +239,13 @@ class NeighborMarch:
 
     def _make_level(self) -> MarchLevel:
         ln_pref = self._ln_pref(slice(None))
-        # combine the two j-sum tables and the prefactor in linear space,
-        # block by block (each block has one exponent offset per row)
+        # scale the j-sum table by the prefactor in linear space, block by
+        # block (each block has one exponent offset per row)
         probs = np.empty_like(ln_pref)
-        n = self.n_pairs
         vals, off = self._state.vals, self._state.off
         for b, (lo, hi) in enumerate(self._blocks):
-            off_r = off[:n, b]
-            off_c = off[n:, b]
-            m = np.maximum(off_r, off_c)
-            s = vals[:n, lo:hi] * np.exp(off_r - m)[:, None]
-            s += vals[n:, lo:hi] * np.exp(off_c - m)[:, None]
-            scale = np.exp(np.minimum(ln_pref[:, lo:hi] + m[:, None], 700.0))
-            probs[:, lo:hi] = s * scale
+            scale = np.exp(np.minimum(ln_pref[:, lo:hi] + off[:, b][:, None], 700.0))
+            probs[:, lo:hi] = vals[:, lo:hi] * scale
         tail_coef = power_tail_fit(probs, self.ells, 2.0 + self.g)
         return MarchLevel(k=self.k, probs=probs, tail_coef=tail_coef)
 
@@ -315,22 +315,19 @@ class NeighborMarch:
     def _contract(self, w: np.ndarray) -> np.ndarray:
         ratio = self._pref_ratio()
         st = self._state
-        n = self.n_pairs
         with np.errstate(divide="ignore"):
-            ln_end = self._ln_pref(self._ends) + np.log(w)[:, None]
-        ln_c = st.off + np.concatenate((ln_end, ln_end))  # [2 n_pairs, n_blocks]
+            ln_c = st.off + self._ln_pref(self._ends) + np.log(w)[:, None]
         # empty (row, block)s must not set the block's scale
         ln_c[st.vals[:, self._ends] == 0.0] = -np.inf
         top = ln_c.max(axis=0)
         top[~np.isfinite(top)] = 0.0
-        c = np.exp(ln_c - top).reshape(2, n, -1)
+        c = np.exp(ln_c - top)
         scale = np.exp(top)
         row = np.empty(self.n_ell)
         # einsum, not a BLAS matvec: BLAS threads stall when sweep threads
         # already occupy every core
         for b, (lo, hi) in enumerate(self._blocks):
-            seg = st.vals[:, lo:hi].reshape(2, n, hi - lo)
-            row[lo:hi] = np.einsum("rpi,rp,pi->i", seg, c[:, :, b], ratio[:, lo:hi])
+            row[lo:hi] = np.einsum("pi,p,pi->i", st.vals[:, lo:hi], c[:, b], ratio[:, lo:hi])
             row[lo:hi] *= scale[b]
         return row
 
@@ -340,8 +337,7 @@ class NeighborMarch:
         idx = self.k - self.beta - 1
         if idx >= self._j_count:
             raise RuntimeError("march exceeded precomputed weight range")
-        self._seed[: self.n_pairs] = self._ln_cumw[:, idx]
-        self._state.advance(self._seed)
+        self._state.advance(self._ln_cumw[:, idx])
         self._level_cache = None
 
     def tail_mass(self, lvl: MarchLevel, upto=None) -> np.ndarray:

@@ -118,12 +118,14 @@ def _make_pmf(family: str, x: float, theta_max: int):
 
 
 def _default_threads() -> int:
-    env = os.environ.get("GFP_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+    """``QPANET_THREADS`` (``GFP_THREADS`` is its older alias), else 1."""
+    for name in ("QPANET_THREADS", "GFP_THREADS"):
+        env = os.environ.get(name, "").strip()
+        if env:
+            try:
+                return _positive_int(env)
+            except (ValueError, argparse.ArgumentTypeError):
+                raise DomainError(f"{name} must be an integer >= 1, got {env!r}") from None
     return 1
 
 
@@ -462,9 +464,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    if hasattr(args, "threads") and args.threads is None:
-        args.threads = _default_threads()
     try:
+        if hasattr(args, "threads") and args.threads is None:
+            args.threads = _default_threads()
         return args.func(args)
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

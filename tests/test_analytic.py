@@ -378,6 +378,48 @@ class TestMarchEdgeBalance:
         assert np.max(np.abs(lhs - rhs)[nz] / scale[nz]) < 1e-12
 
 
+class TestMarchAgainstDirectWideSupports:
+    @pytest.mark.parametrize(
+        "beta, pmf, picks",
+        [
+            (5, make_custom([0.5, 0, 0, 0, 0, 0.5]), (0, 5)),
+            (8, make_exponential(0.5, 24), (0, 1, 12, 23, 24)),
+        ],
+    )
+    def test_levels_match_reference(self, beta, pmf, picks):
+        # a sparse support with zero-probability qualities inside it, and a
+        # wide one at large beta, against the term-for-term reference at the
+        # scan's resolution: first levels, criterion 03's deepest probe and
+        # the scan depth, on every block edge and the last resolved ell
+        from qpanet._engine import _block_bounds
+
+        params = ModelParams(beta=beta, quality=pmf)
+        depth = _scan_depth(params, build_joint_table(params))
+        support = [int(t) for t in pmf.support]
+        n_s = len(support)
+        march = NeighborMarch(params, l_resolve=1024, k_hint=depth)
+        edges = sorted({i for lo, hi in _block_bounds(march.n_ell) for i in (lo, hi - 1)})
+        assert edges[-1] == march.n_ell - 1
+        probe_ks = sorted({beta, beta + 1, 2 * beta + 5, depth})
+        checked = 0
+        for k in probe_ks:
+            while march.k < k:
+                march.advance()
+            block = march.level().probs.reshape(n_s, n_s, -1)
+            rtol = _prefactor_rtol(march)
+            for theta in picks:
+                for phi in picks:
+                    for i in edges:
+                        ell = int(march.ells[i])
+                        want = nn_probability(params, k, theta, ell, phi)
+                        got = block[support.index(theta), support.index(phi), i]
+                        assert (got == 0.0) == (want == 0.0), (k, theta, phi, ell)
+                        if want > 0.0:
+                            assert abs(got - want) / want < rtol[i], (k, theta, phi, ell)
+                        checked += 1
+        assert checked == len(probe_ks) * len(picks) ** 2 * len(edges)
+
+
 class TestNeighborQualityDist:
     def test_single_quality_is_point_mass(self):
         d = neighbor_quality_dist(ba_params(2), 0)
@@ -471,6 +513,34 @@ class TestQualityLaw:
         monkeypatch.setattr(analytic, "INV_K_HALF_WIDTH", 0.0)
         with pytest.raises(NonConvergenceError):
             QualityAggregate(ModelParams(beta=2, quality=make_exponential(0.5, 4)))
+
+
+class TestMarchEdgeBalanceProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(weights=_weights, beta=st.integers(1, 8))
+    @example(weights=[0.5, 0, 0, 0, 0, 0.5], beta=5)
+    def test_balance_on_random_pmfs(self, weights, beta):
+        # TestMarchEdgeBalance's identity on random sparse supports:
+        # k P(k,theta) P(ell,phi | k,theta) = ell P(ell,phi) P(k,theta | ell,phi)
+        from qpanet.analytic import _joint_rows
+
+        params = ModelParams(beta=beta, quality=make_custom(weights))
+        top = beta + 24
+        support = [int(t) for t in params.quality.support]
+        n_s = len(support)
+        joint = _joint_rows(params, beta, top)[:, support]
+        march = NeighborMarch(params, l_resolve=32, k_hint=top)
+        levels = [march.level().probs.reshape(n_s, n_s, -1)[:, :, : top - beta + 1]]
+        while march.k < top:
+            march.advance()
+            levels.append(march.level().probs.reshape(n_s, n_s, -1)[:, :, : top - beta + 1])
+        ks = np.arange(beta, top + 1, dtype=float)
+        lhs = ks[:, None, None, None] * joint[:, :, None, None] * np.stack(levels)
+        rhs = np.transpose(lhs, (3, 2, 1, 0))
+        scale = np.maximum(np.abs(lhs), np.abs(rhs))
+        assert np.all((lhs == 0.0) == (rhs == 0.0))
+        nz = scale > 0.0
+        assert np.max(np.abs(lhs - rhs)[nz] / scale[nz]) < 1e-12
 
 
 class TestNeighborDegreeDist:

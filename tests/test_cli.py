@@ -351,3 +351,60 @@ class TestThreadsDefault:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
+
+
+class TestThreadsEnv:
+    SWEEP = ["sweep", "--family", "exponential", "--q", "0.5", "--beta", "2", "--theta-max", "4"]
+
+    def _threads_used(self, capsys, monkeypatch, extra=()):
+        from qpanet import measures
+
+        seen = []
+
+        def fake_sweep(*args, threads, **kwargs):
+            seen.append(threads)
+            return []
+
+        monkeypatch.setattr(measures, "sweep", fake_sweep)
+        code, _, err = run(self.SWEEP + list(extra), capsys)
+        return code, err, seen
+
+    def test_qpanet_threads_sets_default(self, capsys, monkeypatch):
+        monkeypatch.delenv("GFP_THREADS", raising=False)
+        monkeypatch.setenv("QPANET_THREADS", "3")
+        code, _, seen = self._threads_used(capsys, monkeypatch)
+        assert (code, seen) == (0, [3])
+
+    def test_old_name_is_an_alias(self, capsys, monkeypatch):
+        monkeypatch.delenv("QPANET_THREADS", raising=False)
+        monkeypatch.setenv("GFP_THREADS", "2")
+        code, _, seen = self._threads_used(capsys, monkeypatch)
+        assert (code, seen) == (0, [2])
+
+    def test_new_name_wins_and_flag_wins_over_both(self, capsys, monkeypatch):
+        monkeypatch.setenv("QPANET_THREADS", "3")
+        monkeypatch.setenv("GFP_THREADS", "2")
+        assert self._threads_used(capsys, monkeypatch)[2] == [3]
+        assert self._threads_used(capsys, monkeypatch, ["--threads", "1"])[2] == [1]
+
+    def test_unset_or_blank_is_one_thread(self, capsys, monkeypatch):
+        monkeypatch.delenv("QPANET_THREADS", raising=False)
+        monkeypatch.setenv("GFP_THREADS", " ")
+        code, _, seen = self._threads_used(capsys, monkeypatch)
+        assert (code, seen) == (0, [1])
+
+    @pytest.mark.parametrize("name", ["QPANET_THREADS", "GFP_THREADS"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_value_exits_2(self, name, value, capsys, monkeypatch):
+        monkeypatch.delenv("QPANET_THREADS", raising=False)
+        monkeypatch.delenv("GFP_THREADS", raising=False)
+        monkeypatch.setenv(name, value)
+        code, err, seen = self._threads_used(capsys, monkeypatch)
+        assert code == 2
+        assert err.startswith("error:") and name in err
+        assert seen == []
+
+    def test_bad_value_ignored_when_flag_given(self, capsys, monkeypatch):
+        monkeypatch.setenv("QPANET_THREADS", "abc")
+        code, _, seen = self._threads_used(capsys, monkeypatch, ["--threads", "2"])
+        assert (code, seen) == (0, [2])
