@@ -16,16 +16,20 @@ costs one running cumulative sum over the ell axis per step and per
 ordered quality pair, which is how this module evaluates the
 distribution for every ell at once.
 
-Values along a row span hundreds of orders of magnitude, so rows are
-stored in linear float64 against per-block exponent offsets (blocks are
-geometric in ell).  That keeps the hot loop on ``np.cumsum`` instead of
-``np.logaddexp.accumulate``, which is an order of magnitude slower.
+Values along a row span hundreds of orders of magnitude, so the ell
+axis is cut into equal blocks of ``_BLOCK`` cells, each held in linear
+float64 against one exponent offset per (row, block).  A step is one
+``np.cumsum`` within the blocks, after each block's first cell gains
+the log-sum of the totals of the blocks before it:
+``np.logaddexp.accumulate``, an order of magnitude slower than
+``np.cumsum``, only ever sees one value per (row, block).
 
-The degree scan reads only P(ell | k), a weighted sum of the rows over
-(theta, phi).  ``NeighborMarch.degree_row`` forms that sum block by
-block from the j-sum state and a prefactor carried from level to level
-by rational factors, so a scan level costs no ``exp`` per cell and one
-tail fit.
+Both readers scale the state the same way: one log scale per (row,
+block), the offset plus the log prefactor at the block's last cell,
+times each cell's prefactor ratio to that cell, carried from level to
+level by rational factors.  ``level()`` assembles the full table;
+``degree_row(w)``, all the degree scan reads, contracts the pairs with
+per-theta weights first.  Neither takes an ``exp`` per cell.
 """
 
 from __future__ import annotations
@@ -35,90 +39,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonConvergenceError
 from .numerics import _ln_gamma_raw
 
 _RENORM_THRESHOLD = 1e200
-_BLOCK_RATIO = 1.3
-_MIN_BLOCK = 8
-# largest ln(prefactor ratio) inside one block that the contracted reader
-# carries in float64 (exp(600) ~ 1e260); beyond it rows are assembled per cell
-_PREF_SPREAD_MAX = 600.0
-
-
-def _block_bounds(n: int) -> list[tuple[int, int]]:
-    """Geometric index blocks covering [0, n)."""
-    bounds = []
-    lo = 0
-    width = _MIN_BLOCK
-    while lo < n:
-        hi = min(n, lo + max(_MIN_BLOCK, int(width)))
-        bounds.append((lo, hi))
-        lo = hi
-        width *= _BLOCK_RATIO
-    return bounds
+# cells per block of the ell axis.  A block's prefactor ratios span at most
+# 31 ln(1 + (k + theta_max + 3 + g)/beta) nats, ~357 at k = 1e5: far inside
+# float64 range
+_BLOCK = 32
 
 
 class _ScaledRows:
-    """Rows of non-negative values with per-(row, block) exponent offsets.
+    """Rows of non-negative values in equal blocks, one exponent offset each.
 
-    True value = vals[p, i] * exp(off[p, block(i)]).  Rows here are
-    running states of the lattice recurrence: nondecreasing along i,
-    which keeps cross-block carries from overflowing.
+    True value of cell b * _BLOCK + i = vals[p, b, i] * exp(off[p, b]).
+    Rows here are running states of the lattice recurrence:
+    nondecreasing along the row, so a block's maximum is its last entry.
     """
 
-    def __init__(self, log_init: np.ndarray, blocks: list[tuple[int, int]]):
-        self.blocks = blocks
-        p, n = log_init.shape
-        self.vals = np.zeros((p, n))
-        self.off = np.zeros((p, len(blocks)))
-        for b, (lo, hi) in enumerate(blocks):
-            seg = log_init[:, lo:hi]
-            m = np.max(seg, axis=1)
-            m = np.where(np.isfinite(m), m, 0.0)
-            self.off[:, b] = m
-            self.vals[:, lo:hi] = np.exp(seg - m[:, None])
+    def __init__(self, log_init: np.ndarray):
+        seg = log_init.reshape(log_init.shape[0], -1, _BLOCK)
+        m = seg.max(axis=2)
+        self.off = np.where(np.isfinite(m), m, 0.0)
+        vals = seg - self.off[:, :, None]
+        self.vals = np.exp(vals, out=vals)
 
     def advance(self, seed_log: np.ndarray) -> None:
         """One level of G(a, b) = G(a-1, b) + G(a, b-1).
 
         Replaces entry 0 with ``exp(seed_log)`` (zero where it is
-        ``-inf``) and takes a running cumulative sum along i, carrying
-        across blocks.
+        ``-inf``) and takes a running cumulative sum along the row: each
+        block's first entry gains the total of the blocks before it, then
+        one ``cumsum`` runs within every block.
         """
         vals, off = self.vals, self.off
-        carry = None  # (linear carry, its offset), per row
-        for b, (lo, hi) in enumerate(self.blocks):
-            seg = vals[:, lo:hi]
-            if b == 0:
-                seg[:, 0] = np.exp(seed_log - off[:, 0])
-            np.cumsum(seg, axis=1, out=seg)
-            if carry is not None:
-                c_lin, c_off = carry
-                # raise this block's scale where the carry would overflow it
-                gap = c_off - off[:, b]
-                hot = gap > 0.0
-                if np.any(hot):
-                    shift = np.where(hot, gap, 0.0)
-                    seg *= np.exp(-shift)[:, None]
-                    off[:, b] += shift
-                    gap = gap - shift
-                seg += (c_lin * np.exp(gap))[:, None]
-            # rows are nondecreasing, so the block maximum is its last entry
-            m = seg[:, -1]
-            big = m > _RENORM_THRESHOLD
-            if np.any(big):
-                scale = np.where(big, m, 1.0)
-                seg /= scale[:, None]
-                off[:, b] += np.where(big, np.log(scale), 0.0)
-            carry = (seg[:, -1].copy(), off[:, b].copy())
+        vals[:, 0, 0] = np.exp(seed_log - off[:, 0])
+        with np.errstate(divide="ignore"):
+            ln_total = np.log(np.einsum("pbi->pb", vals[:, :-1])) + off[:, :-1]
+        carry = np.logaddexp.accumulate(ln_total, axis=1)
+        vals[:, 1:, 0] += np.exp(carry - off[:, 1:])
+        np.cumsum(vals, axis=2, out=vals)
+        top = vals[:, :, -1]
+        big = top > _RENORM_THRESHOLD
+        if np.any(big):
+            scale = top[big]
+            vals[big] /= scale[:, None]
+            off[big] += np.log(scale)
 
     def log_values(self) -> np.ndarray:
-        """Log of the true values (``-inf`` where zero)."""
-        out = np.empty_like(self.vals)
+        """Log of the true values (``-inf`` where zero), one row per pair."""
         with np.errstate(divide="ignore"):
-            for b, (lo, hi) in enumerate(self.blocks):
-                out[:, lo:hi] = np.log(self.vals[:, lo:hi]) + self.off[:, b][:, None]
-        return out
+            logs = np.log(self.vals) + self.off[:, :, None]
+        return logs.reshape(logs.shape[0], -1)
 
 
 @dataclass
@@ -140,12 +112,15 @@ class NeighborMarch:
     amplitude and finite-ell corrections are fitted per pair at every
     level (see ``power_tail_fit``).
 
-    The state is one j-sum table of ``[n_pairs, n_ell]`` cells, the sum
-    of the two j-sums of the closed form.  Two readers scale it by the
-    prefactor: ``level()`` assembles the full table with one tail fit
-    per pair; ``degree_row(w)`` contracts the pairs with per-theta
-    weights before any cell is materialized and fits the tail of that
-    one row.
+    The state is one j-sum table, the sum of the two j-sums of the
+    closed form, held as ``[n_pairs, blocks, _BLOCK]`` cells: the grid
+    padded to whole blocks, the padding trimmed on read.  Both readers
+    scale it by one log scale per (pair, block) and the carried
+    prefactor ratio per cell: ``level()`` assembles the full table with
+    one tail fit per pair; ``degree_row(w)`` contracts the pairs with
+    per-theta weights before any cell is materialized and fits the tail
+    of that one row.  A read that leaves float range raises
+    ``NonConvergenceError``.
     """
 
     def __init__(self, params, l_resolve: int = 1024, k_hint: int = 0):
@@ -162,15 +137,17 @@ class NeighborMarch:
         self.n_ell = int(l_resolve)
         self.ells = beta + np.arange(self.n_ell)
         self.k = beta
+        n_pad = -(-self.n_ell // _BLOCK) * _BLOCK
+        # the grid padded to whole blocks, as [blocks, _BLOCK]
+        ell_blocks = (beta + np.arange(n_pad)).reshape(-1, _BLOCK)
 
         tmax = params.quality.theta_max
-        self._theta_max = tmax
         # ordered-pair weights reach j = beta + j_count; marching is allowed
         # up to that focal degree
-        self._j_count = max(self.n_ell, int(k_hint) - beta + 8)
+        self._j_count = max(n_pad, int(k_hint) - beta + 8)
         # gamma lattices: frac[m] = lnGamma(m + 2 + g), integer[m] = lnGamma(m)
         j_top = self._j_count + beta + 1
-        m_top = j_top + self.n_ell + beta + 4 * tmax + 16
+        m_top = j_top + n_pad + beta + 4 * tmax + 16
         self._glf = _ln_gamma_raw(np.arange(m_top, dtype=float) + 2.0 + g)
         self._gli = np.concatenate(
             ([np.inf], _ln_gamma_raw(np.arange(1, m_top, dtype=float)))
@@ -188,64 +165,77 @@ class NeighborMarch:
 
         pair_pos = {pair: p for p, pair in enumerate(self.pairs)}
         swap = [pair_pos[(f, t)] for (t, f) in self.pairs]
-        blocks = _block_bounds(self.n_ell)
         # one row per pair (theta, phi) holds T = S1 + S2.  S1 uses the pair's
         # own weights, is empty at level beta and is seeded at entry 0 every
         # level; S2 uses the swapped pair's weights, starts at level beta as
         # the running weight sum over j <= ell and is never seeded (its entry
         # 0 stays zero).  The recurrence is linear and both halves share one
         # prefactor, so their sum is marched and read as one table.
-        init = np.full((self.n_pairs, self.n_ell), -np.inf)
-        init[:, 1:] = self._ln_cumw[swap][:, : self.n_ell - 1]
-        self._state = _ScaledRows(init, blocks)
+        init = np.full((self.n_pairs, n_pad), -np.inf)
+        init[:, 1:] = self._ln_cumw[swap][:, : n_pad - 1]
+        self._state = _ScaledRows(init)
 
         self._theta_of_pair = theta_arr
-        self._phi_of_pair = phi_arr
         with np.errstate(divide="ignore"):
-            self._ln_rho_phi = np.log(probs_q[phi_arr])
-        self._base_idx = theta_arr[:, None] + phi_arr[:, None] + self.ells[None, :] + 1
-        self._pref_const = (
-            self._ln_rho_phi
-            - self._gli[beta + phi_arr]
-            + self._glf[beta + phi_arr]
-        )
-        # k-independent, ell-dependent prefactor piece lnGamma(ell + phi)
-        self._pref_ell = self._gli[self.ells[None, :] + phi_arr[:, None]]
-        self._blocks = blocks
+            ln_rho_phi = np.log(probs_q[phi_arr])
+        self._pref_const = ln_rho_phi - self._gli[beta + phi_arr] + self._glf[beta + phi_arr]
+        # the prefactor's k-independent pieces at each block's last cell
+        ends = ell_blocks[:, -1]
+        self._gli_end = self._gli[ends[None, :] + phi_arr[:, None]]
+        self._end_idx = (theta_arr + phi_arr + 1)[:, None] + ends[None, :]
         self._level_cache: MarchLevel | None = None
 
-        # contracted reader: the prefactor relative to its value at each
-        # block's last ell, carried from level to level (see _pref_ratio)
-        lo = np.array([lo for lo, _ in blocks])
-        ends = np.array([hi - 1 for _, hi in blocks])
-        self._ends = ends
-        self._end_of = np.repeat(ends, ends - lo + 1)
-        self._span = (ends - lo).astype(float)
-        self._span_lo = self.ells[lo].astype(float)
-        self._s_vals, self._s_idx = np.unique(theta_arr + phi_arr, return_inverse=True)
-        self._ratio: np.ndarray | None = None
-        self._ratio_k: int | None = None
+        # prefactor over its value at the block's last cell, at level beta;
+        # pref(ell) / pref(ell + 1) = (s + ell + k + 3 + g) / (ell + phi)
+        s = theta_arr + phi_arr
+        f = (s[:, None, None] + ell_blocks + (beta + 3.0 + g)) / (
+            ell_blocks + phi_arr[:, None, None]
+        )
+        f[:, :, -1] = 1.0
+        np.cumprod(f[:, :, ::-1], axis=2, out=f[:, :, ::-1])
+        self._ratio = f
+        self._ratio_k = beta
+        self._s_vals, self._s_idx = np.unique(s, return_inverse=True)
+        self._ell_blocks = ell_blocks
 
-    def _ln_pref(self, cols) -> np.ndarray:
-        """Log prefactor at the current k, all pairs, on the ell columns ``cols``.
+    def _log_scale(self) -> np.ndarray:
+        """State offset plus log prefactor at each block's last cell, per (pair, block).
 
-        ln[rho(phi) G(k+theta+3+g) G(ell+phi) G(beta+2+phi+g)
-           / (k G(k+theta+ell+phi+3+g) G(beta+phi))], G the gamma function.
+        The prefactor is ln[rho(phi) G(k+theta+3+g) G(ell+phi) G(beta+2+phi+g)
+        / (k G(k+theta+ell+phi+3+g) G(beta+phi))], G the gamma function.
         """
         k = self.k
-        theta = self._theta_of_pair
-        pref_scalar = self._pref_const - math.log(k) + self._glf[k + theta + 1]
-        return pref_scalar[:, None] + self._pref_ell[:, cols] - self._glf[self._base_idx[:, cols] + k]
+        pref = self._pref_const - math.log(k) + self._glf[k + self._theta_of_pair + 1]
+        return self._state.off + pref[:, None] + self._gli_end - self._glf[self._end_idx + k]
+
+    def _pref_ratio(self) -> np.ndarray:
+        """Prefactor over its value at the block's last cell, per cell, at k.
+
+        From k to k + 1 every ratio gains (s + e + k + 3 + g) /
+        (s + ell + k + 3 + g), s = theta + phi and e the block's last
+        ell: one table over (s, ell) per level since the last read,
+        gathered into the pairs once.
+        """
+        if self._ratio_k < self.k:
+            step = 1.0
+            for k in range(self._ratio_k, self.k):
+                d = self._s_vals[:, None, None] + (self._ell_blocks + (k + 3.0 + self.g))
+                step = step * (d[:, :, -1:] / d)
+            self._ratio *= step[self._s_idx]
+            self._ratio_k = self.k
+        return self._ratio
+
+    def _trim(self, cells: np.ndarray, what: str) -> np.ndarray:
+        """Drop the padding past the grid; refuse values outside float range."""
+        cells = cells.reshape(cells.shape[0], -1)[:, : self.n_ell]
+        if not np.all(np.isfinite(cells)):
+            raise NonConvergenceError(f"{what} at k = {self.k} left float range")
+        return cells
 
     def _make_level(self) -> MarchLevel:
-        ln_pref = self._ln_pref(slice(None))
-        # scale the j-sum table by the prefactor in linear space, block by
-        # block (each block has one exponent offset per row)
-        probs = np.empty_like(ln_pref)
-        vals, off = self._state.vals, self._state.off
-        for b, (lo, hi) in enumerate(self._blocks):
-            scale = np.exp(np.minimum(ln_pref[:, lo:hi] + off[:, b][:, None], 700.0))
-            probs[:, lo:hi] = vals[:, lo:hi] * scale
+        probs = self._state.vals * self._pref_ratio()
+        probs *= np.exp(self._log_scale())[:, :, None]
+        probs = self._trim(probs, "neighbor law")
         tail_coef = power_tail_fit(probs, self.ells, 2.0 + self.g)
         return MarchLevel(k=self.k, probs=probs, tail_coef=tail_coef)
 
@@ -254,82 +244,30 @@ class NeighborMarch:
             self._level_cache = self._make_level()
         return self._level_cache
 
-    def _pref_spread(self) -> float:
-        """Upper bound on ln(prefactor ratio) across one block at the current k.
-
-        Within a block the ratio of the first to the last ell's prefactor
-        is a product of factors 1 + (theta + k + 3 + g)/(ell + phi).
-        """
-        c = self._theta_max + self.k + 3.0 + self.g
-        return float(np.max(self._span * np.log1p(c / self._span_lo)))
-
-    def _pref_ratio(self) -> np.ndarray:
-        """Prefactor over its value at the block's last ell, per cell, at k.
-
-        Along ell the prefactor falls by pref(ell) / pref(ell + 1) =
-        (s + ell + k + 3 + g) / (ell + phi), s = theta + phi, so a block's
-        ratios are a reversed cumulative product of those factors.  From
-        k to k + 1 every ratio gains (s + e + k + 3 + g) / (s + ell + k + 3 + g),
-        e the block's last ell: one table over (s, ell) per level, not
-        one ``exp`` per cell.
-        """
-        k = self.k
-        if self._ratio_k == k:
-            return self._ratio
-        if self._ratio_k == k - 1:
-            # d = s + ell + (k - 1) + 3 + g over (s, ell)
-            d = self._s_vals[:, None] + (self.ells + (k + 2.0 + self.g))[None, :]
-            step = d[:, self._end_of] / d
-            self._ratio *= step[self._s_idx]
-        else:
-            s = (self._theta_of_pair + self._phi_of_pair)[:, None]
-            f = (s + self.ells[None, :] + (k + 3.0 + self.g)) / (
-                self.ells[None, :] + self._phi_of_pair[:, None]
-            )
-            ratio = np.empty_like(f)
-            for lo, hi in self._blocks:
-                ratio[:, lo : hi - 1] = np.cumprod(f[:, lo : hi - 1][:, ::-1], axis=1)[:, ::-1]
-                ratio[:, hi - 1] = 1.0
-            self._ratio = ratio
-        self._ratio_k = k
-        return self._ratio
-
     def degree_row(self, w_theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sum over pairs of w[theta] P(ell, phi | k, theta), its tail model).
 
-        ``w_theta`` weights the supported qualities in order.  The row is
-        contracted block by block: each (row, block) of the j-sum state
-        gets one scalar (weight, state offset, prefactor at the block's
-        last ell) and the carried prefactor ratio supplies the rest.
-        Returns the resolved row and [1, 3] tail coefficients.
+        ``w_theta`` weights the supported qualities in order.  Each
+        (pair, block) of the j-sum state gets one scalar (weight times
+        the log scale, normalized per block) and one ``einsum`` over the
+        pairs supplies the carried prefactor ratio per cell.  Returns the
+        resolved row and [1, 3] tail coefficients.
         """
         w = np.repeat(np.asarray(w_theta, dtype=float), len(self.support))
-        row = None
-        if self._pref_spread() <= _PREF_SPREAD_MAX:
-            row = self._contract(w)
-        if row is None or not np.all(np.isfinite(row)):
-            # the ratio would leave float range: assemble cell by cell
-            row = w @ self.level().probs
-        return row, power_tail_fit(row[None, :], self.ells, 2.0 + self.g)
-
-    def _contract(self, w: np.ndarray) -> np.ndarray:
-        ratio = self._pref_ratio()
-        st = self._state
+        vals = self._state.vals
         with np.errstate(divide="ignore"):
-            ln_c = st.off + self._ln_pref(self._ends) + np.log(w)[:, None]
-        # empty (row, block)s must not set the block's scale
-        ln_c[st.vals[:, self._ends] == 0.0] = -np.inf
+            ln_c = self._log_scale() + np.log(w)[:, None]
+        # empty (pair, block)s must not set the block's scale
+        ln_c[vals[:, :, -1] == 0.0] = -np.inf
         top = ln_c.max(axis=0)
         top[~np.isfinite(top)] = 0.0
         c = np.exp(ln_c - top)
-        scale = np.exp(top)
-        row = np.empty(self.n_ell)
         # einsum, not a BLAS matvec: BLAS threads stall when sweep threads
         # already occupy every core
-        for b, (lo, hi) in enumerate(self._blocks):
-            row[lo:hi] = np.einsum("pi,p,pi->i", st.vals[:, lo:hi], c[:, b], ratio[:, lo:hi])
-            row[lo:hi] *= scale[b]
-        return row
+        row = np.einsum("pbi,pb,pbi->bi", vals, c, self._pref_ratio())
+        row *= np.exp(top)[:, None]
+        row = self._trim(row.reshape(1, -1), "degree row")[0]
+        return row, power_tail_fit(row[None, :], self.ells, 2.0 + self.g)
 
     def advance(self) -> None:
         """Move from focal degree k to k + 1."""

@@ -457,7 +457,11 @@ class QualityAggregate:
         m = np.arange(beta, cut + pmf.theta_max + 1, dtype=float)
         ratio = np.exp(_ln_gamma_raw(m) - _ln_gamma_raw(m + 3.0 + g))
         inv_k = 1.0 / np.arange(beta, cut + 1, dtype=float)
-        column_sums = np.array([ratio[t : t + inv_k.size] @ inv_k for t in support])
+        # one einsum, not one BLAS dot per theta: BLAS threads stall when
+        # sweep threads already occupy every core.  Indexed after the sum, so
+        # the overlapping windows are never copied
+        windows = np.lib.stride_tricks.sliding_window_view(ratio, inv_k.size)
+        column_sums = np.einsum("ti,i->t", windows, inv_k)[support]
         inv_k_mean = (2.0 + g) * np.exp(ln_norm) * column_sums + half_width
         tilt = beta * (support - mu) / (beta + mu)
         self.support = support
@@ -607,12 +611,20 @@ def write_nn_table(
 
     Format: comment lines ``# beta=…``, ``# k=…``, ``# theta=…``,
     ``# tail_mass=…`` followed by the header ``ell,phi,prob``.
+
+    Raises
+    ------
+    DomainError
+        If ``k < beta`` or ``k > DEFAULT_K_CAP``, the joint table's own
+        degree cap (the march allocates weights over ``k`` columns).
     """
     theta = _check_quality_index(params, theta, "theta")
     beta = params.beta
     if int(k) != k or k < beta:
         raise DomainError(f"k must be an integer >= beta = {beta}, got {k}")
     k = int(k)
+    if k > DEFAULT_K_CAP:
+        raise DomainError(f"k = {k} beyond the degree cap {DEFAULT_K_CAP}")
     if l_max is None:
         l_max = 2048
     support = [int(t) for t in params.quality.support]

@@ -12,10 +12,10 @@ import pytest
 from scipy.special import gammaln
 
 from qpanet import validation
-from qpanet.analytic import ModelParams, build_joint_table
+from qpanet.analytic import ModelParams
 from qpanet.cli import main as cli_main
 from qpanet.quality import make_custom, make_exponential
-from qpanet.simulate import empirical_report, grow_qpa, joint_histogram, load_graph
+from qpanet.simulate import empirical_report, grow_qpa, load_graph
 
 from conftest import SWEEP_QS, SWEEP_BETAS, SWEEP_THETA_MAXES
 
@@ -65,26 +65,17 @@ def test_criterion_03_neighbor_conditional_normalization():
 
 
 def test_criterion_04_monte_carlo_agreement():
+    # TV(k <= 20) between the joint histogram pooled over seeds 0-9 of
+    # 2e5-node networks and the closed form
     t0 = time.monotonic()
-    params = ModelParams(beta=2, quality=make_exponential(0.5, 4))
-    table = build_joint_table(params)
-    pooled: dict = {}
-    n_seeds = 10
-    for seed in range(n_seeds):
-        net = grow_qpa(200_000, params, seed)
-        for key, val in joint_histogram(net).items():
-            pooled[key] = pooled.get(key, 0.0) + val / n_seeds
-    tv = 0.0
-    for k in range(2, 21):
-        for t in range(0, 5):
-            tv += 0.5 * abs(pooled.get((k, t), 0.0) - table.probs[k - 2, t])
+    tv = validation.check_monte_carlo().residual
     elapsed = time.monotonic() - t0
     ok = tv < 0.02 and elapsed < 600.0
     report(
         4,
         "Monte Carlo joint agreement",
         ok,
-        f"TV(k<=20) = {tv:.4f} over {n_seeds} seeds of 2e5 nodes, {elapsed:.0f}s",
+        f"TV(k<=20) = {tv:.4f} over 10 seeds of 2e5 nodes, {elapsed:.0f}s",
     )
     assert tv < 0.02
     assert elapsed < 600.0

@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpanet import validation
-from qpanet._engine import NeighborMarch, _tail_fit, tail_power_sum, tail_weighted_sum
+from qpanet._engine import (
+    _BLOCK,
+    NeighborMarch,
+    _tail_fit,
+    tail_power_sum,
+    tail_weighted_sum,
+)
 from qpanet.analytic import (
     ModelParams,
     QualityAggregate,
@@ -235,6 +241,13 @@ def _prefactor_rtol(march):
     return 1e-12 + 8 * np.finfo(float).eps * mag
 
 
+def _block_edges(march):
+    """Grid indices of the first and last cell of every block, and the last resolved cell."""
+    firsts = np.arange(0, march.n_ell, _BLOCK)
+    lasts = np.minimum(firsts + _BLOCK, march.n_ell) - 1
+    return sorted(set(firsts.tolist()) | set(lasts.tolist()))
+
+
 def _tail_model(coef, ells, s):
     """The fitted tail model on the fit window, its mass and its capped mean."""
     window = ells[ells.size // 2 :].astype(float)
@@ -300,15 +313,14 @@ class TestContractedDegreeRow:
     def _assert_rows_nondecreasing(march):
         # the invariant behind reading each block's maximum as its last entry
         state = march._state
-        for lo, hi in state.blocks:
-            seg = state.vals[:, lo:hi]
-            assert np.all(np.diff(seg, axis=1) >= 0.0)
+        assert np.all(np.diff(state.vals, axis=2) >= 0.0)
         logs = state.log_values()
         assert np.all(logs[:, 1:] >= logs[:, :-1] - 1e-12)
 
     def test_carried_prefactor_matches_rebuilt(self):
-        # a march read at every level carries the prefactor ratio by
-        # recurrence; one read only at the end rebuilds it from scratch
+        # a march read at every level carries the prefactor ratio one level
+        # at a time; one read only at the end brings it forward from level
+        # beta in one go
         params = ModelParams(beta=3, quality=make_exponential(0.8, 6))
         w = np.full(7, 1.0 / 7)
         every = NeighborMarch(params, l_resolve=512, k_hint=40)
@@ -320,23 +332,6 @@ class TestContractedDegreeRow:
         got, _ = every.degree_row(w)
         want, _ = once.degree_row(w)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-
-    def test_cell_assembly_beyond_float_range(self, monkeypatch):
-        # past the prefactor spread one block can carry, the row is
-        # assembled from the full level instead
-        from qpanet import _engine
-
-        params = ModelParams(beta=2, quality=make_exponential(0.5, 4))
-        w = np.full(5, 0.2)
-        march = NeighborMarch(params, l_resolve=256, k_hint=12)
-        while march.k < 12:
-            march.advance()
-        contracted, _ = march.degree_row(w)
-        monkeypatch.setattr(_engine, "_PREF_SPREAD_MAX", -1.0)
-        assembled, _ = march.degree_row(w)
-        np.testing.assert_allclose(
-            contracted, assembled, rtol=_prefactor_rtol(march).max(), atol=0.0
-        )
 
 
 class TestMarchEdgeBalance:
@@ -391,14 +386,12 @@ class TestMarchAgainstDirectWideSupports:
         # wide one at large beta, against the term-for-term reference at the
         # scan's resolution: first levels, criterion 03's deepest probe and
         # the scan depth, on every block edge and the last resolved ell
-        from qpanet._engine import _block_bounds
-
         params = ModelParams(beta=beta, quality=pmf)
         depth = _scan_depth(params, build_joint_table(params))
         support = [int(t) for t in pmf.support]
         n_s = len(support)
         march = NeighborMarch(params, l_resolve=1024, k_hint=depth)
-        edges = sorted({i for lo, hi in _block_bounds(march.n_ell) for i in (lo, hi - 1)})
+        edges = _block_edges(march)
         assert edges[-1] == march.n_ell - 1
         probe_ks = sorted({beta, beta + 1, 2 * beta + 5, depth})
         checked = 0
@@ -418,6 +411,25 @@ class TestMarchAgainstDirectWideSupports:
                             assert abs(got - want) / want < rtol[i], (k, theta, phi, ell)
                         checked += 1
         assert checked == len(probe_ks) * len(picks) ** 2 * len(edges)
+
+
+class TestMarchDeepLevels:
+    def test_deep_level_matches_reference(self):
+        # 8000 levels of carried prefactor ratios and block carries, against
+        # the term-for-term reference at the last 40 cells of the grid
+        params = ModelParams(beta=2, quality=make_exponential(0.5, 2))
+        k = 8000
+        march = NeighborMarch(params, l_resolve=1024, k_hint=k)
+        while march.k < k:
+            march.advance()
+        block = march.level().probs.reshape(3, 3, -1)
+        rtol = _prefactor_rtol(march)
+        for theta in (0, 2):
+            for phi in (0, 2):
+                for i in range(march.n_ell - 40, march.n_ell):
+                    want = nn_probability(params, k, theta, int(march.ells[i]), phi)
+                    rel = abs(block[theta, phi, i] - want) / want
+                    assert rel < rtol[i], (theta, phi, int(march.ells[i]), rel)
 
 
 class TestNeighborQualityDist:
@@ -541,6 +553,35 @@ class TestMarchEdgeBalanceProperty:
         assert np.all((lhs == 0.0) == (rhs == 0.0))
         nz = scale > 0.0
         assert np.max(np.abs(lhs - rhs)[nz] / scale[nz]) < 1e-12
+
+
+class TestBlockEdgesProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(weights=_weights, beta=st.integers(1, 8), depth=st.integers(0, 24))
+    @example(weights=[0.5, 0, 0, 0, 0, 0.5], beta=5, depth=24)
+    def test_block_edges_match_reference(self, weights, beta, depth):
+        # a grid of 100 cells ends in a partial block: the first and last
+        # cell of every block and the last resolved cell, at level beta and
+        # at a drawn level, against the term-for-term reference
+        params = ModelParams(beta=beta, quality=make_custom(weights))
+        support = [int(t) for t in params.quality.support]
+        n_s = len(support)
+        march = NeighborMarch(params, l_resolve=100, k_hint=beta + depth)
+        edges = _block_edges(march)
+        assert edges[-1] == march.n_ell - 1 and len(edges) == 8
+        for k in sorted({beta, beta + depth}):
+            while march.k < k:
+                march.advance()
+            block = march.level().probs.reshape(n_s, n_s, -1)
+            rtol = _prefactor_rtol(march)
+            for ti, theta in enumerate(support):
+                for fi, phi in enumerate(support):
+                    for i in edges:
+                        want = nn_probability(params, k, theta, int(march.ells[i]), phi)
+                        got = block[ti, fi, i]
+                        assert (got == 0.0) == (want == 0.0), (k, theta, phi, i)
+                        if want > 0.0:
+                            assert abs(got - want) / want < rtol[i], (k, theta, phi, i)
 
 
 class TestNeighborDegreeDist:

@@ -309,6 +309,30 @@ class TestNnTableCommand:
         assert code == 2
 
 
+    def test_k_past_degree_cap_exits_2(self, capsys):
+        # the march would allocate weights over k columns; past the joint
+        # table's degree cap the command refuses before building anything
+        code, _, err = run(
+            [
+                "nn-table",
+                "--beta",
+                "2",
+                "--family",
+                "bernoulli",
+                "--p",
+                "1",
+                "--theta-max",
+                "8",
+                "--k",
+                "100001",
+                "--theta",
+                "0",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error:")
+
 class TestValidateCommand:
     def test_quick_passes_fast(self, capsys):
         import time
