@@ -340,22 +340,12 @@ def tail_power_sum(coef: np.ndarray, s: float, l_end: int, upto=None) -> np.ndar
     return np.maximum(total, 0.0)
 
 
-def tail_weighted_sum(
-    coef: np.ndarray, s: float, l_end: int, upto: int | None
-) -> np.ndarray:
-    """Sum of ell * fitted tail model over ell = l_end+1 .. upto.
-
-    ``upto=None`` sums to infinity, which requires ``s > 2``.
-    """
-    from scipy.special import zeta
-
+def tail_weighted_sum(coef: np.ndarray, s: float, l_end: int, upto: int) -> np.ndarray:
+    """Sum of ell * fitted tail model over ell = l_end+1 .. upto."""
     coef = np.atleast_2d(coef)
     total = np.zeros(coef.shape[0])
     for r in range(3):
-        if upto is None:
-            total += coef[:, r] * zeta(s + r - 1.0, l_end + 1)
-        else:
-            total += coef[:, r] * partial_power_sum(s + r - 1.0, l_end + 1, upto)
+        total += coef[:, r] * partial_power_sum(s + r - 1.0, l_end + 1, upto)
     return np.maximum(total, 0.0)
 
 

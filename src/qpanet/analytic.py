@@ -18,15 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._engine import (
-    NeighborMarch,
-    power_tail_fit,
-    tail_power_sum,
-    tail_weighted_sum,
-)
+from ._engine import NeighborMarch, tail_power_sum, tail_weighted_sum
 from .errors import DomainError, NonConvergenceError, UndefinedConditionalError
-from .numerics import _ln_gamma_raw, adaptive_series, sum_log_terms
+from .numerics import _ln_gamma_raw, sum_log_terms
 from .quality import QualityPmf
+
+# unused here; perfbench/tracing.py looks both up on this module (ROADMAP item 1)
+from ._engine import power_tail_fit  # noqa: F401
+from .numerics import adaptive_series  # noqa: F401
 
 __all__ = [
     "ModelParams",
@@ -41,13 +40,17 @@ __all__ = [
 ]
 
 DEFAULT_REL_TOL = 1e-10
-JOINT_TAIL_TARGET = 1e-8
 DEFAULT_K_CAP = 10**5
+# degrees tabulated by build_joint_table; the degree scan reads to beta + 512
+JOINT_ROWS = 1024
 DEFAULT_ELL_CAP = 10**4
 # E[1/k | theta] is summed exactly to this degree (doubled while needed) and
 # the remainder's bracket may not be wider than this half-width
 INV_K_CUT = 2**15
 INV_K_HALF_WIDTH = 1e-10
+# nats between the largest entries of the E[1/k | theta] windows that share
+# one scaled lattice; exp(-600) ~ 1e-261 stays a normal float
+_LATTICE_SPAN = 600.0
 
 
 @dataclass(frozen=True)
@@ -73,13 +76,14 @@ class ModelParams:
 
 @dataclass
 class JointTable:
-    """Truncated table of the stationary joint distribution P(k, theta).
+    """The stationary joint distribution P(k, theta): one block plus exact tails.
 
     Rows cover degrees ``beta .. k_max``; columns qualities
-    ``0 .. theta_max``.  ``tail_mass`` estimates the probability beyond
-    ``k_max`` (per quality in ``tail_by_theta``).  The degree mean
-    carries a power-law tail correction; the median follows the
-    CDF >= 1/2 convention.
+    ``0 .. theta_max``.  ``tail_mass`` is the exact probability beyond
+    ``k_max`` (per quality in ``tail_by_theta``), ``mean_degree`` the
+    exact mean 2 beta; the median follows the CDF >= 1/2 convention.
+    ``p_theta_given_k`` evaluates rows past the block on demand, up to
+    ``DEFAULT_K_CAP``.
     """
 
     params: ModelParams
@@ -108,9 +112,11 @@ class JointTable:
 
     def p_theta_given_k(self, k: int) -> np.ndarray:
         i = k - self.params.beta
-        if i < 0 or i >= self.k_values.size:
-            raise DomainError(f"degree {k} outside table range")
-        row = self.probs[i]
+        if i < 0 or k > DEFAULT_K_CAP:
+            raise DomainError(
+                f"degree {k} outside [{self.params.beta}, {DEFAULT_K_CAP}]"
+            )
+        row = self.probs[i] if k <= self.k_max else _joint_rows(self.params, k, k)[0]
         total = row.sum()
         if total <= 0.0:
             raise UndefinedConditionalError(f"degree {k} has zero probability")
@@ -161,22 +167,9 @@ def joint_probability(params: ModelParams, k: int, theta: int) -> float:
     theta = _check_quality_index(params, theta, "theta")
     if k < 0 or int(k) != k:
         raise DomainError(f"k must be a non-negative integer, got {k}")
-    beta = params.beta
-    if k < beta:
+    if k < params.beta:
         return 0.0
-    rho = params.quality.probs[theta]
-    if rho == 0.0:
-        return 0.0
-    g = params.mu_over_beta
-    ln = (
-        math.log(rho)
-        + math.log(2.0 + g)
-        + float(_ln_gamma_raw(k + theta))
-        - float(_ln_gamma_raw(beta + theta))
-        + float(_ln_gamma_raw(beta + theta + 2.0 + g))
-        - float(_ln_gamma_raw(k + theta + 3.0 + g))
-    )
-    return math.exp(ln)
+    return float(_joint_rows(params, int(k), int(k))[0, theta])
 
 
 def _joint_rows(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
@@ -202,84 +195,60 @@ def _joint_rows(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
     return out
 
 
-def build_joint_table(
-    params: ModelParams,
-    rel_tol: float = DEFAULT_REL_TOL,
-    k_cap: int = DEFAULT_K_CAP,
-) -> JointTable:
-    """Tabulate P(k, theta) out to a degree where the tail is negligible.
+def _joint_tail(params: ModelParams, k: int) -> np.ndarray:
+    """P(degree > k, theta) per theta, from the telescoped closed form.
 
-    The truncation point is found by adaptive summation of the degree
-    marginal at ``rel_tol`` and then extended until the estimated tail
-    mass (exact power-law exponent ``3 + mu/beta``, Richardson
-    amplitude) drops below 1e-8.
+    With g = mu/beta and G the gamma function, it is rho(theta) T with
+    T = G(k + 1 + theta) G(beta + theta + 2 + g) / (G(beta + theta)
+    G(k + theta + 3 + g)), the column tail of ``QualityAggregate``.
+    """
+    beta = params.beta
+    g = params.mu_over_beta
+    rho = params.quality.probs
+    thetas = np.arange(rho.size, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.exp(
+            np.log(rho)
+            + _ln_gamma_raw(k + 1.0 + thetas)
+            + _ln_gamma_raw(beta + thetas + 2.0 + g)
+            - _ln_gamma_raw(beta + thetas)
+            - _ln_gamma_raw(k + thetas + 3.0 + g)
+        )
+
+
+def build_joint_table(params: ModelParams) -> JointTable:
+    """Tabulate P(k, theta) for degrees beta .. beta + JOINT_ROWS - 1.
+
+    Everything past the block is taken from the closed form: the mass
+    beyond ``k_max`` per quality from ``_joint_tail``, and the mean
+    degree, exactly 2 beta since every arrival adds beta links.  The
+    median is read from the block's CDF.
 
     Raises
     ------
     NonConvergenceError
-        If the ``k_cap`` degree cap is hit first.
+        If the block holds less than half the mass, so the median lies
+        past it.
     """
     beta = params.beta
-    g = params.mu_over_beta
-    chunks = [_joint_rows(params, beta, beta + 1023)]
-    sizes = [1024]
-
-    def marginal_term(i: int) -> float:
-        while i >= sizes[-1]:
-            lo = beta + sizes[-1]
-            grown = min(sizes[-1] * 2, k_cap - beta + 1)
-            if grown <= sizes[-1]:
-                raise NonConvergenceError(
-                    f"joint table exceeded the {k_cap}-degree cap"
-                )
-            chunks.append(_joint_rows(params, lo, beta + grown - 1))
-            sizes.append(grown)
-        j = i
-        for c in chunks:
-            if j < c.shape[0]:
-                return float(c[j].sum())
-            j -= c.shape[0]
-        raise AssertionError
-
-    adaptive_series(marginal_term, start=0, rel_tol=rel_tol, max_terms=k_cap)
-
-    # extend until the estimated tail is below the fixed target
-    s = 3.0 + g
-    while True:
-        probs = np.concatenate(chunks, axis=0) if len(chunks) > 1 else chunks[0]
-        chunks = [probs]
-        sizes = [probs.shape[0]]
-        k_max = beta + probs.shape[0] - 1
-        ks = beta + np.arange(probs.shape[0])
-        coef_by_theta = power_tail_fit(probs.T, ks, s)
-        tail_by_theta = tail_power_sum(coef_by_theta, s, k_max)
-        tail = float(tail_by_theta.sum())
-        if tail < JOINT_TAIL_TARGET:
-            break
-        if k_max >= k_cap:
-            raise NonConvergenceError(
-                f"joint table tail {tail:.2e} still above {JOINT_TAIL_TARGET}"
-                f" at the {k_cap}-degree cap"
-            )
-        lo = k_max + 1
-        grown = min(probs.shape[0] * 2, k_cap - beta + 1)
-        chunks.append(_joint_rows(params, lo, beta + grown - 1))
-        sizes.append(grown)
-
+    k_max = beta + JOINT_ROWS - 1
+    probs = _joint_rows(params, beta, k_max)
+    ks = beta + np.arange(JOINT_ROWS)
+    tail_by_theta = _joint_tail(params, k_max)
     marginal = probs.sum(axis=1)
-    mean_resolved = float(np.dot(ks, marginal))
-    coef_m = power_tail_fit(marginal[None, :], ks, s)
-    mean_tail = float(tail_weighted_sum(coef_m, s, k_max, None)[0])
-    cdf = np.cumsum(marginal)
-    median = int(ks[np.searchsorted(cdf, 0.5 - 1e-12)])
+    i = int(np.searchsorted(np.cumsum(marginal), 0.5 - 1e-12))
+    if i == JOINT_ROWS:
+        raise NonConvergenceError(
+            f"degree median lies past the {JOINT_ROWS}-row joint block"
+        )
     return JointTable(
         params=params,
         k_values=ks,
         probs=probs,
         degree_marginal=marginal,
-        mean_degree=mean_resolved + mean_tail,
-        median_degree=median,
-        tail_mass=tail,
+        mean_degree=2.0 * beta,
+        median_degree=int(ks[i]),
+        tail_mass=float(tail_by_theta.sum()),
         tail_by_theta=tail_by_theta,
     )
 
@@ -364,17 +333,17 @@ _JOINT_CACHE_SIZE = 4
 _JOINT_CACHE_LOCK = threading.Lock()
 
 
-def _cached_joint(params: ModelParams, rel_tol: float) -> JointTable:
+def _cached_joint(params: ModelParams) -> JointTable:
     """Joint table from a small FIFO cache shared by sweep threads.
 
     A miss builds outside the lock, so two threads may build the same
     table; the second insert just replaces the first.
     """
-    key = (params.key(), float(rel_tol))
+    key = params.key()
     with _JOINT_CACHE_LOCK:
         table = _JOINT_CACHE.get(key)
     if table is None:
-        table = build_joint_table(params, rel_tol=rel_tol)
+        table = build_joint_table(params)
         with _JOINT_CACHE_LOCK:
             if key not in _JOINT_CACHE and len(_JOINT_CACHE) >= _JOINT_CACHE_SIZE:
                 _JOINT_CACHE.pop(next(iter(_JOINT_CACHE)), None)
@@ -426,7 +395,8 @@ class QualityAggregate:
     Raises
     ------
     NonConvergenceError
-        If the cut would have to pass ``DEFAULT_K_CAP``.
+        If the cut would have to pass ``DEFAULT_K_CAP``, or a law leaves
+        float range.
     """
 
     def __init__(self, params: ModelParams):
@@ -439,11 +409,7 @@ class QualityAggregate:
         ln_norm = _ln_gamma_raw(beta + thetas + 2.0 + g) - _ln_gamma_raw(beta + thetas)
         cut = INV_K_CUT
         while True:
-            tail = np.exp(
-                ln_norm
-                + _ln_gamma_raw(cut + 1.0 + thetas)
-                - _ln_gamma_raw(cut + thetas + 3.0 + g)
-            )
+            tail = _joint_tail(params, cut)[support] / pmf.probs[support]
             half_width = tail / (2.0 * (cut + 1))
             if half_width.max() < INV_K_HALF_WIDTH:
                 break
@@ -453,20 +419,37 @@ class QualityAggregate:
                     f" {INV_K_HALF_WIDTH} at the {DEFAULT_K_CAP}-degree cap"
                 )
             cut *= 2
-        # G(m)/G(m + 3 + g) on the lattice m = k + theta
+        # log G(m)/G(m + 3 + g) on the lattice m = k + theta; it falls with m,
+        # so each theta's window starts at its largest entry
         m = np.arange(beta, cut + pmf.theta_max + 1, dtype=float)
-        ratio = np.exp(_ln_gamma_raw(m) - _ln_gamma_raw(m + 3.0 + g))
+        ln_ratio = _ln_gamma_raw(m) - _ln_gamma_raw(m + 3.0 + g)
         inv_k = 1.0 / np.arange(beta, cut + 1, dtype=float)
-        # one einsum, not one BLAS dot per theta: BLAS threads stall when
-        # sweep threads already occupy every core.  Indexed after the sum, so
-        # the overlapping windows are never copied
-        windows = np.lib.stride_tricks.sliding_window_view(ratio, inv_k.size)
-        column_sums = np.einsum("ti,i->t", windows, inv_k)[support]
-        inv_k_mean = (2.0 + g) * np.exp(ln_norm) * column_sums + half_width
+        firsts = ln_ratio[support]
+        shift = np.empty(support.size)
+        column_sums = np.empty(support.size)
+        i = 0
+        while i < support.size:
+            # qualities whose windows start within exp(_LATTICE_SPAN) of the
+            # first one's share one lattice, scaled by that start: at large
+            # g the unscaled lattice underflows while G(beta+theta+2+g)
+            # /G(beta+theta) overflows
+            j = i + int(np.searchsorted(firsts[i] - firsts[i:], _LATTICE_SPAN, "right"))
+            lo = support[i]
+            ratio = np.exp(ln_ratio[lo : support[j - 1] + inv_k.size] - firsts[i])
+            # one einsum, not one BLAS dot per theta: BLAS threads stall when
+            # sweep threads already occupy every core.  Indexed after the sum,
+            # so the overlapping windows are never copied
+            windows = np.lib.stride_tricks.sliding_window_view(ratio, inv_k.size)
+            column_sums[i:j] = np.einsum("ti,i->t", windows, inv_k)[support[i:j] - lo]
+            shift[i:j] = firsts[i]
+            i = j
+        inv_k_mean = (2.0 + g) * np.exp(ln_norm + shift) * column_sums + half_width
         tilt = beta * (support - mu) / (beta + mu)
         self.support = support
         # [theta, phi] over the support
         self.laws = pmf.probs[support] * (1.0 + np.outer(inv_k_mean, tilt))
+        if not np.all(np.isfinite(self.laws)):
+            raise NonConvergenceError("neighbor-quality law left float range")
 
     def dist(self, theta: int) -> NeighborDist:
         i = int(np.searchsorted(self.support, theta))
@@ -500,8 +483,18 @@ def _degree_stats(ells, pl, coef, g, ell_cap) -> tuple[float, int, float]:
     """(mean over [beta, ell_cap], median, tail mass) of one P(ell | k) row.
 
     ``pl`` is the resolved row on ``ells`` and ``coef`` its tail model.
+
+    Raises
+    ------
+    NonConvergenceError
+        If the tail model is not finite (its amplitude ``row * ell**s``
+        leaves float range at large exponents ``s``).
     """
     s = 2.0 + g
+    if not np.all(np.isfinite(coef)):
+        raise NonConvergenceError(
+            f"degree row tail model at exponent {s:g} left float range"
+        )
     l_end = int(ells[-1])
     tail = float(tail_power_sum(coef, s, l_end)[0])
     mean = float(np.dot(ells, pl)) + float(tail_weighted_sum(coef, s, l_end, ell_cap)[0])
@@ -574,15 +567,15 @@ def neighbor_degree_dist(
     Raises
     ------
     DomainError
-        If ``k < beta``.
+        If ``k < beta`` or ``k > DEFAULT_K_CAP``.
     """
     beta = params.beta
     if int(k) != k or k < beta:
         raise DomainError(f"k must be an integer >= beta = {beta}, got {k}")
     k = int(k)
-    joint = _cached_joint(params, rel_tol)
-    if k > joint.k_max:
-        raise DomainError(f"k = {k} beyond the tabulated degree range {joint.k_max}")
+    if k > DEFAULT_K_CAP:
+        raise DomainError(f"k = {k} beyond the degree cap {DEFAULT_K_CAP}")
+    joint = _cached_joint(params)
     march = NeighborMarch(params, l_resolve=_l_resolve_for(rel_tol), k_hint=k)
     while march.k < k:
         march.advance()
@@ -654,6 +647,10 @@ def write_nn_table(
     fh.write(f"# theta={theta}\n")
     fh.write(f"# tail_mass={tail_dump:.9e}\n")
     fh.write("ell,phi,prob\n")
-    for i in np.flatnonzero(keep):
-        for fi, phi in enumerate(support):
-            fh.write(f"{int(ells[i])},{phi},{block[fi, i]:.12e}\n")
+    fh.write(
+        "".join(
+            f"{ell},{phi},{p:.12e}\n"
+            for ell, row in zip(ells[keep].tolist(), block[:, keep].T.tolist())
+            for phi, p in zip(support, row)
+        )
+    )

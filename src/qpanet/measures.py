@@ -153,7 +153,7 @@ def critical_values(
     the scan edge.
     """
     if joint is None:
-        joint = analytic._cached_joint(params, rel_tol)
+        joint = analytic._cached_joint(params)
     l_resolve = analytic._l_resolve_for(rel_tol)
     profile, notes = _run_paradox_march(params, joint, l_resolve, scan_cap)
     margin = min(abs(m - k) for k, m in zip(profile.ks, profile.means))
@@ -248,7 +248,7 @@ def _sweep_point(family, x, beta, theta_max, rel_tol) -> SweepRow:
         else:
             raise DomainError(f"unknown quality family {family!r}")
         params = ModelParams(beta=beta, quality=pmf)
-        joint = analytic.build_joint_table(params, rel_tol=rel_tol)
+        joint = analytic.build_joint_table(params)
         qpa = critical_values(params, rel_tol=rel_tol, joint=joint)
         row.qpa = qpa
         row.uncorrelated = uncorrelated_criticals(params, joint)

@@ -5,7 +5,8 @@ binomial coefficients: the closed-form node and neighbor distributions
 are ratios of gamma functions whose raw values overflow float64 long
 before the interesting part of the degree range is reached.  This module
 provides a vectorized log-gamma, a stable log-sum-exp, and an adaptive
-summation helper used to truncate the infinite degree sums.
+summation helper that the program no longer calls (the joint law's
+tail has a closed form).
 """
 
 from __future__ import annotations

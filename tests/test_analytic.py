@@ -15,8 +15,11 @@ from qpanet._engine import (
     tail_weighted_sum,
 )
 from qpanet.analytic import (
+    DEFAULT_ELL_CAP,
     ModelParams,
     QualityAggregate,
+    _degree_stats,
+    _joint_tail,
     build_joint_table,
     joint_probability,
     neighbor_degree_dist,
@@ -84,7 +87,7 @@ class TestJointTable:
     def test_normalization(self):
         table = build_joint_table(ModelParams(beta=2, quality=make_exponential(0.5, 4)))
         assert table.probs.sum() + table.tail_mass == pytest.approx(1.0, abs=1e-6)
-        assert table.tail_mass < 1e-8 + 1e-12
+        assert abs(table.probs.sum() + table.tail_mass - 1.0) < 1e-12
 
     def test_step_rows_zero(self):
         table = build_joint_table(ModelParams(beta=4, quality=make_exponential(0.5, 4)))
@@ -93,15 +96,25 @@ class TestJointTable:
 
     def test_conditional_mean_closed_form(self):
         # E[k | theta] = (2+g)(beta+theta)/(1+g) - theta with g = mu/beta;
-        # cross-checked here against the summed table itself
+        # cross-checked here against the summed table itself plus the exact
+        # first-moment tail, sum_{k>K} k P(k | theta) =
+        # (2+g)/(1+g) G(K+2+theta) G(beta+theta+2+g) / (G(beta+theta) G(K+theta+3+g))
+        # - theta P(k > K | theta)
         params = ModelParams(beta=2, quality=make_exponential(0.5, 2))
-        g = params.mu_over_beta
+        beta, g = params.beta, params.mu_over_beta
         table = build_joint_table(params)
+        big_k = table.k_max
         for theta in (0, 1, 2):
             pk = table.p_k_given_theta(theta)
             resolved = float(np.dot(table.k_values, pk))
-            closed = (2.0 + g) * (params.beta + theta) / (1.0 + g) - theta
-            assert resolved == pytest.approx(closed, abs=5e-3)
+            tail = (2.0 + g) / (1.0 + g) * math.exp(
+                math.lgamma(big_k + 2 + theta)
+                + math.lgamma(beta + theta + 2 + g)
+                - math.lgamma(beta + theta)
+                - math.lgamma(big_k + theta + 3 + g)
+            ) - theta * table.tail_by_theta[theta] / params.quality.probs[theta]
+            closed = (2.0 + g) * (beta + theta) / (1.0 + g) - theta
+            assert resolved + tail == pytest.approx(closed, abs=1e-10)
 
     def test_marginal_eventually_decreasing(self):
         table = build_joint_table(ModelParams(beta=3, quality=make_exponential(1.5, 6)))
@@ -477,6 +490,36 @@ _weights = st.lists(
 ).filter(lambda w: sum(w) > 0.0)
 
 
+class TestJointTail:
+    @settings(max_examples=40, deadline=None)
+    @given(weights=_weights, beta=st.integers(1, 16), extra=st.integers(1, 4000))
+    @example(weights=[0.5, 0, 0, 0, 0, 0.5], beta=5, extra=1)
+    def test_closed_form_tail_on_random_pmfs(self, weights, beta, extra):
+        # the telescoped tail against the rows it stands for: the mass
+        # between K and K' summed directly, and the block's column sums
+        # completing rho; zero-probability qualities stay exactly zero
+        params = ModelParams(beta=beta, quality=make_custom(weights))
+        rho = params.quality.probs
+        table = build_joint_table(params)
+        big_k = table.k_max
+        far = big_k + extra
+        near_tail = _joint_tail(params, big_k)
+        np.testing.assert_array_equal(near_tail, table.tail_by_theta)
+        from qpanet.analytic import _joint_rows
+
+        between = near_tail - _joint_tail(params, far)
+        direct = _joint_rows(params, big_k + 1, far).sum(axis=0)
+        # both sides are exponentials of log-gamma sums as large as
+        # lnG(K' + theta_max + 3 + g), each off by ~2.5e-12 relative at
+        # K ~ 1e3 against 40-digit mpmath; so _prefactor_rtol's allowance,
+        # relative to the tail at K, which bounds both sides
+        mag = math.lgamma(far + params.quality.theta_max + 3 + params.mu_over_beta)
+        rtol = 1e-12 + 8 * np.finfo(float).eps * mag
+        assert np.all(np.abs(between - direct) <= rtol * near_tail)
+        assert np.all(np.abs(table.probs.sum(axis=0) + near_tail - rho) <= 1e-12 * rho)
+        assert np.all(near_tail[rho == 0.0] == 0.0)
+
+
 class TestQualityLaw:
     @settings(max_examples=60, deadline=None)
     @given(weights=_weights, beta=st.integers(1, 8))
@@ -517,6 +560,18 @@ class TestQualityLaw:
                 levels += 1
         assert levels == 108
         assert worst < 1e-6
+
+    def test_finite_at_large_mean_quality(self):
+        # g = mu/beta = 250: the lattice G(m)/G(m + 3 + g) underflows where
+        # G(beta + theta + 2 + g)/G(beta + theta) overflows
+        params = ModelParams(beta=2, quality=make_bernoulli(0.5, 1000))
+        agg = QualityAggregate(params)
+        oracle = exact_neighbor_quality_law(params)
+        for theta in (0, 1000):
+            probs = neighbor_quality_dist(params, theta).probs
+            assert np.all(np.isfinite(probs))
+            assert abs(probs.sum() - 1.0) < 1e-12
+            assert np.max(np.abs(probs - oracle[theta][agg.support])) < 1e-9
 
     def test_cut_past_degree_cap_raises(self, monkeypatch):
         from qpanet import analytic
@@ -615,6 +670,31 @@ class TestNeighborDegreeDist:
         with pytest.raises(DomainError):
             neighbor_degree_dist(ba_params(2), 1)
 
+    def test_reach_past_joint_block(self):
+        # the degree scan reads only the joint block (k <= beta + 1023), but
+        # the law is defined up to the degree cap: P(theta | k) past the block
+        # is evaluated from the closed form.  At k >> l_resolve the fitted
+        # tail of the default 1024-cell grid misses the mass by up to 2.6e-3
+        # (k = 2000), so the grid is the 4096-cell one
+        params = ModelParams(beta=2, quality=make_exponential(1.5, 16))
+        d = neighbor_degree_dist(params, 1100, rel_tol=1e-14)
+        assert d.values.size == 4096
+        assert d.probs.sum() + d.tail_mass == pytest.approx(1.0, abs=1e-6)
+
+    def test_tail_model_out_of_float_range_raises(self):
+        # at g = 125 the tail amplitude row * ell**(2 + g) overflows; the
+        # degree statistics must refuse it rather than index past the grid
+        from qpanet.errors import NonConvergenceError
+
+        from qpanet.analytic import _joint_rows
+
+        params = ModelParams(beta=1, quality=make_bernoulli(0.5, 250))
+        march = NeighborMarch(params, l_resolve=1024, k_hint=1)
+        w = _joint_rows(params, 1, 1)[0][params.quality.support]
+        row, coef = march.degree_row(w / w.sum())
+        with pytest.raises(NonConvergenceError, match="exponent 127"):
+            _degree_stats(march.ells, row, coef, params.mu_over_beta, DEFAULT_ELL_CAP)
+
 
 class TestNnTableDump:
     def test_format(self):
@@ -657,7 +737,7 @@ class TestJointCache:
                 time.sleep(0.001)
                 return super().pop(*args)
 
-        def slow_build(params, rel_tol):
+        def slow_build(params):
             time.sleep(0.002)
             return params
 
@@ -670,7 +750,7 @@ class TestJointCache:
             rng = np.random.default_rng(seed)
             try:
                 for i in rng.integers(0, len(models), size=40):
-                    assert analytic._cached_joint(models[i], 1e-10) is models[i]
+                    assert analytic._cached_joint(models[i]) is models[i]
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 

@@ -81,6 +81,19 @@ class TestSweepCommand:
             assert stdout == "", (flag, value)
             assert not out.exists(), (flag, value)
 
+    def test_tail_overflow_exits_3(self, tmp_path, capsys):
+        # g = mu/beta = 125: the degree row's tail amplitude leaves float
+        # range, so the grid point fails with the reason and the command
+        # exits 3 (numeric non-convergence), not with a traceback
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            ["sweep", "--family", "bernoulli", "--p", "0.5", "--beta", "1"]
+            + ["--theta-max", "250", "-o", str(out)],
+            capsys,
+        )
+        assert code == 3
+        assert "NonConvergenceError" in err and "exponent 127" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(["sweep", "--bogus", "1"], capsys)
         assert code == 2

@@ -47,6 +47,15 @@ class TestCriticalValues:
         assert c.degree_mean is not None and c.degree_mean >= 2
         assert c.degree_median is not None and c.degree_median >= 2
 
+    def test_small_mean_quality_at_large_beta_completes(self):
+        # g = mu/beta ~ 0.007: the degree law decays barely faster than k**-3,
+        # so no table cut short of the degree cap leaves a tail below 1e-8;
+        # the joint law's tail is taken in closed form instead
+        params = ModelParams(beta=16, quality=make_exponential(0.1, 4))
+        c = critical_values(params)
+        assert c.degree_mean is not None and c.degree_mean >= 16
+        assert c.degree_median is not None and c.degree_median >= 16
+
     def test_strictness(self, exp_small):
         # the defining inequality holds at the critical value and fails
         # just above it (sampled via the public per-k distribution)
