@@ -14,6 +14,7 @@ from qpanet import (
     make_bernoulli,
     make_exponential,
     neighbor_degree_dist,
+    neighbor_degree_first_moment,
     neighbor_quality_dist,
     nn_probability,
 )
@@ -40,12 +41,16 @@ print(" dominated by who is available to connect to, not by who you are)")
 
 print()
 print("=== Neighbor degree given own degree ===")
+uncapped = neighbor_degree_first_moment(params, 20)  # exact, k = beta..20
 for k in (2, 5, 20):
     d = neighbor_degree_dist(params, k)
     print(
-        f"k={k:>2}: mean={d.mean:7.3f} (capped support)  median={d.median:>3}  "
+        f"k={k:>2}: mean={d.mean:7.3f} (capped support)  "
+        f"uncapped={uncapped[k - params.beta]:7.3f}  median={d.median:>3}  "
         f"tail={d.tail_mass:.1e}"
     )
+print("the capped mean stops at ell_cap = 1e4; the exact uncapped one adds")
+print("the slowly decaying tail ell**-(2 + mu/beta) beyond it")
 print("neighbors are hubs: even a degree-20 node sees a mean well above")
 print("the network average of 4 -- the friendship paradox in the raw")
 

@@ -17,6 +17,7 @@ from .analytic import (
     build_joint_table,
     joint_probability,
     neighbor_degree_dist,
+    neighbor_degree_first_moment,
     neighbor_quality_dist,
     nn_probability,
     write_nn_table,
@@ -88,6 +89,7 @@ __all__ = [
     "nn_probability",
     "neighbor_quality_dist",
     "neighbor_degree_dist",
+    "neighbor_degree_first_moment",
     "write_nn_table",
     "critical_values",
     "uncorrelated_criticals",

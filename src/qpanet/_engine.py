@@ -34,6 +34,7 @@ per-theta weights first.  Neither takes an ``exp`` per cell.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -244,14 +245,18 @@ class NeighborMarch:
             self._level_cache = self._make_level()
         return self._level_cache
 
-    def degree_row(self, w_theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def degree_row(
+        self, w_theta: np.ndarray, mass: float | None = None, moment: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(sum over pairs of w[theta] P(ell, phi | k, theta), its tail model).
 
         ``w_theta`` weights the supported qualities in order.  Each
         (pair, block) of the j-sum state gets one scalar (weight times
         the log scale, normalized per block) and one ``einsum`` over the
         pairs supplies the carried prefactor ratio per cell.  Returns the
-        resolved row and [1, 3] tail coefficients.
+        resolved row and [1, 3] tail coefficients.  ``mass`` and
+        ``moment``, the row's exact total and first moment over all ell,
+        pin the tail model (see ``power_tail_fit``).
         """
         w = np.repeat(np.asarray(w_theta, dtype=float), len(self.support))
         vals = self._state.vals
@@ -266,8 +271,9 @@ class NeighborMarch:
         # already occupy every core
         row = np.einsum("pbi,pb,pbi->bi", vals, c, self._pref_ratio())
         row *= np.exp(top)[:, None]
-        row = self._trim(row.reshape(1, -1), "degree row")[0]
-        return row, power_tail_fit(row[None, :], self.ells, 2.0 + self.g)
+        row = self._trim(row.reshape(1, -1), "degree row")
+        coef = power_tail_fit(row, self.ells, 2.0 + self.g, mass=mass, moment=moment)
+        return row[0], coef
 
     def advance(self) -> None:
         """Move from focal degree k to k + 1."""
@@ -283,7 +289,9 @@ class NeighborMarch:
         return tail_power_sum(lvl.tail_coef, 2.0 + self.g, int(self.ells[-1]), upto)
 
 
-def power_tail_fit(rows: np.ndarray, ells: np.ndarray, s: float) -> np.ndarray:
+def power_tail_fit(
+    rows: np.ndarray, ells: np.ndarray, s: float, mass=None, moment=None
+) -> np.ndarray:
     """Fit rows[:, i] ~ c0*ell**-s + c1*ell**-(s+1) + c2*ell**-(s+2).
 
     The leading exponent is known exactly, so only the amplitude and its
@@ -291,11 +299,20 @@ def power_tail_fit(rows: np.ndarray, ells: np.ndarray, s: float) -> np.ndarray:
     last half of the grid).  Returns [n_rows, 3] coefficients; rows
     where the fit misbehaves (structural zeros, pre-asymptotic data)
     fall back to a single-term window estimate.
+
+    ``mass`` and ``moment``, each row's exact total and first moment
+    over all ell, pin the model: its sum past the grid is ``mass`` less
+    the row's sum, and its first moment past the grid ``moment`` less
+    the row's (where given and finite, s > 2).  The least squares are
+    then solved under those equalities, and no row falls back (on grids
+    of 16 cells or more).
     """
-    return _tail_fit(rows, ells, s)[0]
+    return _tail_fit(rows, ells, s, mass, moment)[0]
 
 
-def _tail_fit(rows: np.ndarray, ells: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+def _tail_fit(
+    rows: np.ndarray, ells: np.ndarray, s: float, mass=None, moment=None
+) -> tuple[np.ndarray, np.ndarray]:
     """(``power_tail_fit`` coefficients, mask of the rows that fell back).
 
     Only on fallback rows is the fit not linear in the data: without them
@@ -311,6 +328,8 @@ def _tail_fit(rows: np.ndarray, ells: np.ndarray, s: float) -> tuple[np.ndarray,
     lw = ells[lo:].astype(float)
     with np.errstate(over="ignore"):
         y = rows[:, lo:] * lw**s
+    if mass is not None:
+        return _pinned_fit(rows, ells, s, y, mass, moment)
     inv = 1.0 / lw
     design = np.stack([np.ones_like(inv), inv, inv * inv], axis=1)
     gram = design.T @ design
@@ -324,6 +343,52 @@ def _tail_fit(rows: np.ndarray, ells: np.ndarray, s: float) -> tuple[np.ndarray,
     coef[bad] = 0.0
     coef[bad, 0] = fallback[bad]
     return coef, bad
+
+
+def _pinned_fit(rows, ells, s, y, mass, moment):
+    """``_tail_fit`` under exact tail mass (and first moment): no row falls back."""
+    ells = ells.astype(float)
+    targets = [np.asarray(mass, dtype=float) - rows.sum(axis=1)]
+    if moment is not None and s > 2.0:
+        targets.append(np.asarray(moment, dtype=float) - rows @ ells)
+    on_data, on_targets = _pinned_operator(ells[ells.size // 2], ells[-1], s, len(targets))
+    return y @ on_data + np.array(targets).T @ on_targets, np.zeros(rows.shape[0], dtype=bool)
+
+
+@functools.lru_cache(maxsize=32)
+def _pinned_operator(l_lo: float, l_end: float, s: float, m: int):
+    """The least-squares tail fit over [l_lo, l_end] under m equalities, as a linear map.
+
+    One KKT system [[gram, A.T], [A, 0]] [c; lambda] = [design.T y; b]:
+    row r of A holds the model's sums zeta(s + i - r, l_end + 1) past
+    the grid end, b the tail mass (r = 0) and first moment (r = 1) the
+    row's exact totals leave, each equality scaled to unit size.
+    Returns the maps from y and from b to c, [window, 3] and [m, 3]:
+    every level of one grid solves the same system.
+    """
+    from scipy.special import zeta
+
+    lw = np.arange(l_lo, l_end + 1.0)
+    inv = 1.0 / lw
+    design = np.stack([np.ones_like(inv), inv, inv * inv], axis=1)
+    a = np.array([[zeta(s + i - r, l_end + 1.0) for i in range(3)] for r in range(m)])
+    scale = np.abs(a).max(axis=1, keepdims=True)
+    kkt = np.zeros((3 + m, 3 + m))
+    kkt[:3, :3] = design.T @ design
+    # at large s the sums underflow to zero and the solve returns NaN, which
+    # the readers refuse as a tail model outside float range
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kkt[3:, :3] = a / scale
+        kkt[:3, 3:] = kkt[3:, :3].T
+        rhs = np.zeros((3 + m, lw.size + m))
+        rhs[:3, : lw.size] = design.T
+        rhs[3:, lw.size :] = np.diag(1.0 / scale[:, 0])
+    op = np.linalg.solve(kkt, rhs)[:3].T
+    on_data, on_targets = op[: lw.size].copy(), op[lw.size :].copy()
+    # shared by every caller of the cache
+    on_data.setflags(write=False)
+    on_targets.setflags(write=False)
+    return on_data, on_targets
 
 
 def tail_power_sum(coef: np.ndarray, s: float, l_end: int, upto=None) -> np.ndarray:

@@ -36,6 +36,7 @@ __all__ = [
     "nn_probability",
     "neighbor_quality_dist",
     "neighbor_degree_dist",
+    "neighbor_degree_first_moment",
     "write_nn_table",
 ]
 
@@ -174,6 +175,13 @@ def joint_probability(params: ModelParams, k: int, theta: int) -> float:
 
 def _joint_rows(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
     """Vectorized joint probabilities for degrees k_lo..k_hi inclusive."""
+    out = np.exp(_ln_joint_rows(params, k_lo, k_hi))
+    out[:, params.quality.probs == 0.0] = 0.0
+    return out
+
+
+def _ln_joint_rows(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
+    """Log of ``_joint_rows`` (-inf at zero-probability qualities)."""
     beta = params.beta
     g = params.mu_over_beta
     probs_q = params.quality.probs
@@ -182,7 +190,7 @@ def _joint_rows(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
     ths = np.arange(tmax + 1, dtype=float)[None, :]
     with np.errstate(divide="ignore"):
         ln_rho = np.log(probs_q)[None, :]
-    ln = (
+    return (
         ln_rho
         + math.log(2.0 + g)
         + _ln_gamma_raw(ks + ths)
@@ -190,9 +198,6 @@ def _joint_rows(params: ModelParams, k_lo: int, k_hi: int) -> np.ndarray:
         + _ln_gamma_raw(beta + ths + 2.0 + g)
         - _ln_gamma_raw(ks + ths + 3.0 + g)
     )
-    out = np.exp(ln)
-    out[:, probs_q == 0.0] = 0.0
-    return out
 
 
 def _joint_tail(params: ModelParams, k: int) -> np.ndarray:
@@ -504,6 +509,73 @@ def _degree_stats(ells, pl, coef, g, ell_cap) -> tuple[float, int, float]:
     return mean, median, tail
 
 
+def _neighbor_degree_moments(params: ModelParams, k_max: int) -> np.ndarray:
+    """E[ell | k, theta] for k = beta..k_max (rows) and the supported theta.
+
+    Let a(k, theta) be the summed degree of the neighbors of the
+    (k, theta) class, per node of the network, and n(k, theta) =
+    P(k, theta).  Its rate equation, with c = beta/(2 beta + mu) = 1/(2 + g),
+
+        a(k) [1 + c(k + theta - 1)] = c(k - 1 + theta) [a(k-1) + beta n(k-1)]
+            + c n(k) [beta mu_pi + (k - beta) mu] + [k = beta] rho beta (1 + m2),
+
+    counts three events: a node moving from degree k - 1 to k gains a
+    neighbor of degree beta; a neighbor gains a link at a rate
+    proportional to its degree plus quality, and the neighbors' summed
+    quality is k n(k) E[phi | k, theta] = n(k) [beta mu_pi + (k - beta) mu]
+    by the law of ``QualityAggregate``, mu_pi = (beta mu + E[theta^2])
+    /(beta + mu); and a newcomer's neighbor-degree sum is
+    beta (1 + m2), m2 = E_target[k] the mean degree of an attachment
+    target.  With n(k-1)/n(k) = (k + theta + 2 + g)/(k + theta - 1), the
+    ratio h = a/n obeys h(k) = x(k)[h(k-1) + beta]/(x(k) - 1) + [beta mu_pi
+    + (k - beta) mu]/(x(k) - 1), x(k) = k + theta + 2 + g, which
+    telescopes: H = h/x gains beta/(x - 1) + [beta mu_pi + (k - beta) mu]
+    /((x - 1) x) per degree, a cumulative sum.  E[ell | k, theta] = h/k.
+
+    The same method gives degree correlations in Krapivsky & Redner,
+    PRE 63, 066123 (2001).  m2 = sum_theta rho E[k(k + theta) | theta]
+    /(2 beta + mu) is finite exactly when g = mu/beta > 0; at g = 0 every
+    moment is infinite.
+    """
+    beta = params.beta
+    pmf = params.quality
+    ks = np.arange(beta, k_max + 1, dtype=float)[:, None]
+    support = pmf.support
+    if params.mu_over_beta == 0.0:
+        return np.full((ks.size, support.size), np.inf)
+    g = params.mu_over_beta
+    mu = pmf.mean
+    theta = support.astype(float)
+    rho = pmf.probs[support]
+    mu_pi = (beta * mu + np.dot(rho, theta * theta)) / (beta + mu)
+    # E[k(k + theta) | theta] = E[(k + theta)(k + theta + 1)] - (1 + theta) E[k + theta]
+    second = (2.0 + g) * (beta + theta) * ((beta + theta + 1.0) / g - (1.0 + theta) / (1.0 + g))
+    m2 = np.dot(rho, second) / (2.0 * beta + mu)
+    x = ks + theta + 2.0 + g
+    steps = beta / (x - 1.0) + (beta * mu_pi + (ks - beta) * mu) / ((x - 1.0) * x)
+    steps[0] = (beta * mu_pi / x[0] + beta * (1.0 + m2)) / (x[0] - 1.0)
+    return np.cumsum(steps, axis=0) * x / ks
+
+
+def neighbor_degree_first_moment(params: ModelParams, k_max: int) -> np.ndarray:
+    """Uncapped E[ell | k] for k = beta..k_max, ell a random neighbor's degree.
+
+    Exact, from the rate equation of each class's neighbor-degree sum
+    (``_neighbor_degree_moments``), weighted by P(theta | k); O(k_max
+    |support|).  Infinite at g = mu/beta = 0 (all-zero quality), where
+    the neighbor-degree law decays as ell**-2.
+    """
+    beta = params.beta
+    if int(k_max) != k_max or k_max < beta:
+        raise DomainError(f"k_max must be an integer >= beta = {beta}, got {k_max}")
+    by_theta = _neighbor_degree_moments(params, int(k_max))
+    if params.mu_over_beta == 0.0:
+        return by_theta[:, 0]
+    ln_w = _ln_joint_rows(params, beta, int(k_max))[:, params.quality.support]
+    w = np.exp(ln_w - ln_w.max(axis=1, keepdims=True))
+    return np.einsum("kt,kt->k", w, by_theta) / w.sum(axis=1)
+
+
 class DegreeProfile:
     """Mean/median neighbor degree per focal degree, from march levels."""
 
@@ -515,6 +587,7 @@ class DegreeProfile:
         self.means: list[float] = []
         self.medians: list[int] = []
         self._support = [int(t) for t in params.quality.support]
+        self._moments = np.empty((0, len(self._support)))
 
     def add_level(self, march: NeighborMarch) -> None:
         """Record the march's current focal degree."""
@@ -530,9 +603,15 @@ class DegreeProfile:
         """(P(ell | k) resolved row, its tail-model coefficients) at the march's k.
 
         The march contracts over (theta, phi) with weights P(theta | k)
-        and fits one tail, without assembling the full level.
+        and fits one tail, without assembling the full level.  The tail
+        is pinned to the row's exact mass, 1, and its exact first
+        moment E[ell | k].
         """
-        return march.degree_row(self.joint.p_theta_given_k(march.k)[self._support])
+        i = march.k - self.params.beta
+        if i >= len(self._moments):
+            self._moments = _neighbor_degree_moments(self.params, 2 * march.k)
+        w = self.joint.p_theta_given_k(march.k)[self._support]
+        return march.degree_row(w, mass=1.0, moment=float(w @ self._moments[i]))
 
 
 def neighbor_quality_dist(params: ModelParams, theta: int) -> NeighborDist:
@@ -560,8 +639,10 @@ def neighbor_degree_dist(
 
     P(ell | k) = sum_theta P(theta | k) sum_phi P(ell, phi | k, theta).
     The resolved support covers ``beta .. l_resolve``; the remaining
-    mass decays as ``ell**-(2 + mu/beta)`` and is reported in
-    ``tail_mass``.  The mean is defined over the capped support
+    mass decays as ``ell**-(2 + mu/beta)``, and its model is pinned to
+    the law's exact mass and first moment
+    (``neighbor_degree_first_moment``), so ``tail_mass`` is exactly 1
+    less the resolved sum.  The mean is defined over the capped support
     ``[beta, ell_cap]``.
 
     Raises

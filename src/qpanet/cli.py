@@ -190,6 +190,7 @@ def _crit_json(c):
         "quality_median": c.quality_median,
         "degree_mean": c.degree_mean,
         "degree_median": c.degree_median,
+        "notes": list(c.notes),
     }
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qpanet import validation
@@ -23,6 +23,7 @@ from qpanet.analytic import (
     build_joint_table,
     joint_probability,
     neighbor_degree_dist,
+    neighbor_degree_first_moment,
     neighbor_quality_dist,
     nn_probability,
     write_nn_table,
@@ -761,3 +762,193 @@ class TestJointCache:
             t.join()
         assert errors == []
         assert len(analytic._JOINT_CACHE) <= 4
+
+
+def _march_first_moments(params, l_resolve, k_top):
+    """E[ell | k] for k = beta..k_top from full march levels.
+
+    The resolved sum of ell P plus each pair's fitted (unpinned) tail
+    model to infinity, weighted by P(theta | k).
+    """
+    from scipy.special import zeta
+
+    joint = build_joint_table(params)
+    support = [int(t) for t in params.quality.support]
+    s = 2.0 + params.mu_over_beta
+    march = NeighborMarch(params, l_resolve=l_resolve, k_hint=k_top)
+    z = np.array([zeta(s + r - 1.0, int(march.ells[-1]) + 1) for r in range(3)])
+    out = []
+    while True:
+        lvl = march.level()
+        w = np.repeat(joint.p_theta_given_k(march.k)[support], len(support))
+        out.append(w @ (lvl.probs @ march.ells + lvl.tail_coef @ z))
+        if march.k == k_top:
+            return np.array(out)
+        march.advance()
+
+
+def _moment_gap(params, l_resolve, k_top=40):
+    """Largest relative gap between the recurrence and the march, k <= k_top."""
+    exact = neighbor_degree_first_moment(params, k_top)
+    return float(np.max(np.abs(_march_first_moments(params, l_resolve, k_top) - exact) / exact))
+
+
+class TestNeighborDegreeFirstMoment:
+    def test_matches_march_at_large_g(self):
+        # g = 7: the fitted tail of a 4096-cell grid is exact to rounding,
+        # so the recurrence must meet the march there (measured 9.5e-14)
+        params = ModelParams(beta=2, quality=make_exponential(1.5, 16))
+        assert params.mu_over_beta == pytest.approx(7.0, abs=0.01)
+        assert _moment_gap(params, 4096) < 5e-13
+
+    @pytest.mark.parametrize(
+        "beta, pmf, g",
+        [(1, make_custom([0.5, 0, 0, 0, 0.5]), 2.0), (2, make_exponential(0.5, 4), 0.419)],
+    )
+    def test_march_gap_shrinks_with_grid(self, beta, pmf, g):
+        # at small g the march's fitted tail carries the gap: doubling the
+        # grid must shrink it, towards the recurrence
+        params = ModelParams(beta=beta, quality=pmf)
+        assert params.mu_over_beta == pytest.approx(g, abs=1e-3)
+        gaps = [_moment_gap(params, n) for n in (1024, 2048)]
+        assert gaps[1] < gaps[0] < 1e-3, gaps
+
+    @settings(max_examples=20, deadline=None)
+    @given(weights=_weights, beta=st.integers(1, 8))
+    @example(weights=[0.5, 0, 0, 0, 0, 0.5], beta=5)
+    def test_march_gap_shrinks_on_random_pmfs(self, weights, beta):
+        params = ModelParams(beta=beta, quality=make_custom(weights))
+        assume(params.mu_over_beta > 0.0)
+        k_top = beta + 12
+        gaps = [_moment_gap(params, n, k_top) for n in (256, 512)]
+        assert gaps[1] < gaps[0] < 1e-2 or gaps[1] < 1e-12, gaps
+
+    @settings(max_examples=30, deadline=None)
+    @given(weights=_weights, beta=st.integers(1, 16))
+    @example(weights=[0.5, 0, 0, 0, 0, 0.5], beta=5)
+    def test_telescoped_sum_matches_rate_equation(self, weights, beta):
+        # the rate equation of a(k, theta), the neighbor-degree sum per node,
+        # stepped in k as written, against its telescoped cumulative sum
+        from qpanet.analytic import _joint_rows, _neighbor_degree_moments
+
+        params = ModelParams(beta=beta, quality=make_custom(weights))
+        assume(params.mu_over_beta > 0.0)
+        pmf = params.quality
+        support = pmf.support
+        theta = support.astype(float)
+        rho = pmf.probs[support]
+        mu = pmf.mean
+        g = params.mu_over_beta
+        c = beta / (2 * beta + mu)
+        mu_pi = (beta * mu + rho @ theta**2) / (beta + mu)
+        ks = np.arange(beta, beta + 41, dtype=float)
+        n = _joint_rows(params, beta, beta + 40)[:, support]
+        # the attachment target's mean degree, from E[k + theta | theta] and
+        # E[(k + theta)(k + theta + 1) | theta] of the joint law
+        e_kk = (2 + g) * (beta + theta) * (
+            (beta + theta + 1) / g - (1 + theta) / (1 + g)
+        )
+        m2 = rho @ e_kk / (2 * beta + mu)
+        a = np.empty_like(n)
+        a[0] = (c * n[0] * beta * mu_pi + rho * beta * (1 + m2)) / (1 + c * (beta + theta - 1))
+        for i in range(1, ks.size):
+            k = ks[i]
+            a[i] = (
+                c * (k - 1 + theta) * (a[i - 1] + beta * n[i - 1])
+                + c * n[i] * (beta * mu_pi + (k - beta) * mu)
+            ) / (1 + c * (k + theta - 1))
+        want = a / (ks[:, None] * n)
+        got = _neighbor_degree_moments(params, beta + 40)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_infinite_at_zero_quality(self):
+        # all-zero quality: the neighbor-degree law decays as ell**-2
+        moments = neighbor_degree_first_moment(ba_params(2), 40)
+        assert moments.shape == (39,)
+        assert np.all(np.isposinf(moments))
+
+    def test_domain_error(self):
+        with pytest.raises(DomainError):
+            neighbor_degree_first_moment(ba_params(2), 1)
+
+
+def _default_scan_grid():
+    from qpanet.analytic import DEFAULT_REL_TOL
+    from qpanet.measures import _scan_grid
+
+    return _scan_grid(DEFAULT_REL_TOL)
+
+
+class TestPinnedDegreeRow:
+    @pytest.mark.parametrize(
+        "beta, pmf", [(5, make_custom([0.5, 0, 0, 0, 0, 0.5])), (2, make_exponential(0.5, 4))]
+    )
+    @pytest.mark.parametrize("grid", ["scan", "law"])
+    def test_mass_identity_at_every_level(self, beta, pmf, grid):
+        # sum_ell P(ell | k) = sum_theta P(theta | k) sum_phi [(beta/k) pi(phi)
+        # + (1 - beta/k) rho(phi)] = 1 at every level a scan may read (to its
+        # cap), on the scan's grid and on neighbor_degree_dist's; an unpinned
+        # tail on 1024 cells missed it by 1.5e-6 on the sparse support at
+        # k <= 76, and by up to 1.7e-4 before the cap
+        from qpanet.analytic import DEFAULT_REL_TOL, DegreeProfile, _l_resolve_for
+        from qpanet.measures import SCAN_CAP_DEFAULT
+
+        params = ModelParams(beta=beta, quality=pmf)
+        joint = build_joint_table(params)
+        depth = beta + SCAN_CAP_DEFAULT
+        n_ell = _default_scan_grid() if grid == "scan" else _l_resolve_for(DEFAULT_REL_TOL)
+        march = NeighborMarch(params, l_resolve=n_ell, k_hint=depth)
+        profile = DegreeProfile(params, joint)
+        worst = 0.0
+        while True:
+            row, coef = profile._degree_row(march)
+            _, _, tail = _degree_stats(march.ells, row, coef, params.mu_over_beta, DEFAULT_ELL_CAP)
+            worst = max(worst, abs(row.sum() + tail - 1.0))
+            if march.k >= depth:
+                break
+            march.advance()
+        assert worst < 1e-6, worst
+
+    def test_normalized_far_past_the_grid(self):
+        # k = 2000 on the default 1024-cell grid: the window [L/2, L] is far
+        # from asymptotic, and an unpinned tail missed the mass by 2.6e-3
+        params = ModelParams(beta=2, quality=make_exponential(1.5, 16))
+        d = neighbor_degree_dist(params, 2000)
+        assert d.values.size == 1024
+        assert abs(d.probs.sum() + d.tail_mass - 1.0) < 1e-6
+
+    @pytest.mark.parametrize(
+        "beta, pmf",
+        [
+            (2, make_exponential(0.5, 4)),
+            (3, make_custom([0.5, 0, 0, 0, 0, 0.5])),
+            (8, make_exponential(0.3, 4)),
+            (8, make_exponential(0.1, 4)),
+            (2, make_exponential(1.5, 16)),
+        ],
+    )
+    def test_scan_grid_resolves_capped_mean(self, beta, pmf):
+        # the capped mean the scan decides on, from its pinned rows, against
+        # a march whose grid reaches the cap and needs no tail at all.  At
+        # g = 0.014 the 512-cell grid is 9.6e-4 off; 256 cells were 2.3e-2
+        # off, so this fails if the scan's grid is narrowed
+        from qpanet.analytic import DegreeProfile
+
+        params = ModelParams(beta=beta, quality=pmf)
+        joint = build_joint_table(params)
+        support = [int(t) for t in pmf.support]
+        k_top = 70
+        scan = NeighborMarch(params, l_resolve=_default_scan_grid(), k_hint=k_top)
+        full = NeighborMarch(params, l_resolve=DEFAULT_ELL_CAP - beta + 1, k_hint=k_top)
+        assert full.ells[-1] == DEFAULT_ELL_CAP
+        profile = DegreeProfile(params, joint)
+        worst = 0.0
+        while True:
+            profile.add_level(scan)
+            row, _ = full.degree_row(joint.p_theta_given_k(full.k)[support])
+            worst = max(worst, abs(profile.means[-1] - float(full.ells @ row)))
+            if scan.k == k_top:
+                break
+            scan.advance()
+            full.advance()
+        assert worst < 1e-3, worst

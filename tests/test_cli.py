@@ -141,6 +141,20 @@ class TestSweepCommand:
         assert payload["schema_version"] == 1
         assert len(payload["rows"]) == 1
 
+    def test_json_rows_carry_notes(self, tmp_path, capsys):
+        # q 1.6, beta 2, theta_max 4: a mean neighbor degree lies within
+        # 2e-2 of its degree on the scan, so the degree criticals are
+        # re-decided on the finer grid, and the row says so
+        out = tmp_path / "out.json"
+        args = ["sweep", "--family", "exponential", "--q", "1.6", "--beta", "2"]
+        code, _, _ = run(args + ["--theta-max", "4", "--format", "json", "-o", str(out)], capsys)
+        assert code == 0
+        row = json.loads(out.read_text())["rows"][0]
+        (note,) = row["qpa"]["notes"]
+        assert note.startswith("near tie: mean margin ")
+        assert note.endswith("on the 512-cell scan, re-decided on 2048 cells")
+        assert row["uncorrelated"]["notes"] == []
+
 
 class TestSimulateCommand:
     def test_report_structure(self, tmp_path, capsys):
