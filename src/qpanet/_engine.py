@@ -124,7 +124,7 @@ class NeighborMarch:
     ``NonConvergenceError``.
     """
 
-    def __init__(self, params, l_resolve: int = 1024, k_hint: int = 0):
+    def __init__(self, params, l_resolve: int, k_hint: int = 0):
         beta = params.beta
         g = params.mu_over_beta
         support = [int(t) for t in params.quality.support]
@@ -284,9 +284,9 @@ class NeighborMarch:
         self._state.advance(self._ln_cumw[:, idx])
         self._level_cache = None
 
-    def tail_mass(self, lvl: MarchLevel, upto=None) -> np.ndarray:
-        """Per-pair mass beyond the resolved grid (to ``upto`` or infinity)."""
-        return tail_power_sum(lvl.tail_coef, 2.0 + self.g, int(self.ells[-1]), upto)
+    def tail_mass(self, lvl: MarchLevel) -> np.ndarray:
+        """Per-pair mass beyond the resolved grid."""
+        return tail_power_sum(lvl.tail_coef, 2.0 + self.g, int(self.ells[-1]))
 
 
 def power_tail_fit(
@@ -392,36 +392,22 @@ def _pinned_operator(l_lo: float, l_end: float, s: float, m: int):
 
 
 def tail_power_sum(coef: np.ndarray, s: float, l_end: int, upto=None) -> np.ndarray:
-    """Sum of the fitted tail model over ell = l_end+1 .. upto (or infinity)."""
+    """Sum of the fitted tail model over ell = l_end+1 .. upto (or infinity).
+
+    The model is ``sum_r coef_r * ell**-(s + r)``; ``s - 1`` gives its
+    first moment.  Exponent 1 (the first moment at g = 0) needs a finite
+    ``upto`` and is summed directly.
+    """
     from scipy.special import zeta  # imported here: growth never needs scipy
 
     coef = np.atleast_2d(coef)
     total = np.zeros(coef.shape[0])
     for r in range(3):
-        z = zeta(s + r, l_end + 1)
-        if upto is not None:
-            z = z - zeta(s + r, upto + 1)
+        if s + r > 1.0:
+            z = zeta(s + r, l_end + 1)
+            if upto is not None:
+                z = z - zeta(s + r, upto + 1)
+        else:
+            z = np.sum(np.arange(l_end + 1, upto + 1, dtype=float) ** -(s + r))
         total += coef[:, r] * z
     return np.maximum(total, 0.0)
-
-
-def tail_weighted_sum(coef: np.ndarray, s: float, l_end: int, upto: int) -> np.ndarray:
-    """Sum of ell * fitted tail model over ell = l_end+1 .. upto."""
-    coef = np.atleast_2d(coef)
-    total = np.zeros(coef.shape[0])
-    for r in range(3):
-        total += coef[:, r] * partial_power_sum(s + r - 1.0, l_end + 1, upto)
-    return np.maximum(total, 0.0)
-
-
-def partial_power_sum(s: float, lo: int, hi: int) -> float:
-    """sum of ell**-s for ell = lo..hi inclusive (s > 0; s may be 1)."""
-    from scipy.special import zeta
-
-    if hi < lo:
-        return 0.0
-    if s > 1.0:
-        return float(zeta(s, lo) - zeta(s, hi + 1))
-    # short direct sum is fine for the ranges used here
-    ells = np.arange(lo, hi + 1, dtype=float)
-    return float(np.sum(ells**-s))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._engine import NeighborMarch, tail_power_sum, tail_weighted_sum
+from ._engine import NeighborMarch, tail_power_sum
 from .errors import DomainError, NonConvergenceError, UndefinedConditionalError
 from .numerics import _ln_gamma_raw, sum_log_terms
 from .quality import QualityPmf
@@ -40,11 +40,15 @@ __all__ = [
     "write_nn_table",
 ]
 
-DEFAULT_REL_TOL = 1e-10
 DEFAULT_K_CAP = 10**5
 # degrees tabulated by build_joint_table; the degree scan reads to beta + 512
 JOINT_ROWS = 1024
+# resolved neighbor degrees of neighbor_degree_dist and of the validation probes
+LAW_CELLS = 1024
+# the neighbor-degree mean is taken over [beta, DEFAULT_ELL_CAP]
 DEFAULT_ELL_CAP = 10**4
+# largest neighbor degree write_nn_table dumps by default
+NN_TABLE_L_MAX = 2048
 # E[1/k | theta] is summed exactly to this degree (doubled while needed) and
 # the remainder's bracket may not be wider than this half-width
 INV_K_CUT = 2**15
@@ -133,9 +137,9 @@ class NeighborDist:
     ``probs`` the matching probabilities, and ``tail_mass`` the
     estimated mass beyond the resolved support.  For degree
     distributions the mean is taken over the capped support
-    ``[beta, ell_cap]`` (the raw mean barely converges — or does not —
-    for low mean quality, so the cap is part of the definition) while
-    the median only needs the resolved CDF.
+    ``[beta, DEFAULT_ELL_CAP]`` (the raw mean barely converges — or does
+    not — for low mean quality, so the cap is part of the definition)
+    while the median only needs the resolved CDF.
     """
 
     kind: str
@@ -323,16 +327,6 @@ def nn_probability(
 # --------------------------------------------------------------------------
 
 
-def _l_resolve_for(rel_tol: float, floor: int = 1024) -> int:
-    """Resolved neighbor-degree window; tighter tolerances resolve further."""
-    n = floor
-    if rel_tol < 1e-11:
-        n *= 2
-    if rel_tol < 1e-13:
-        n *= 2
-    return n
-
-
 _JOINT_CACHE: dict = {}
 _JOINT_CACHE_SIZE = 4
 _JOINT_CACHE_LOCK = threading.Lock()
@@ -484,8 +478,8 @@ def quality_q_level(march: NeighborMarch, lvl) -> np.ndarray:
     return lvl.probs.sum(axis=1) + march.tail_mass(lvl)
 
 
-def _degree_stats(ells, pl, coef, g, ell_cap) -> tuple[float, int, float]:
-    """(mean over [beta, ell_cap], median, tail mass) of one P(ell | k) row.
+def _degree_stats(ells, pl, coef, g) -> tuple[float, int, float]:
+    """(mean over [beta, DEFAULT_ELL_CAP], median, tail mass) of one P(ell | k) row.
 
     ``pl`` is the resolved row on ``ells`` and ``coef`` its tail model.
 
@@ -493,7 +487,8 @@ def _degree_stats(ells, pl, coef, g, ell_cap) -> tuple[float, int, float]:
     ------
     NonConvergenceError
         If the tail model is not finite (its amplitude ``row * ell**s``
-        leaves float range at large exponents ``s``).
+        leaves float range at large exponents ``s``), or the median lies
+        past the grid.
     """
     s = 2.0 + g
     if not np.all(np.isfinite(coef)):
@@ -502,11 +497,16 @@ def _degree_stats(ells, pl, coef, g, ell_cap) -> tuple[float, int, float]:
         )
     l_end = int(ells[-1])
     tail = float(tail_power_sum(coef, s, l_end)[0])
-    mean = float(np.dot(ells, pl)) + float(tail_weighted_sum(coef, s, l_end, ell_cap)[0])
+    mean = float(np.dot(ells, pl)) + float(
+        tail_power_sum(coef, s - 1.0, l_end, DEFAULT_ELL_CAP)[0]
+    )
     cdf = np.cumsum(pl)
-    total = cdf[-1] + tail
-    median = int(ells[np.searchsorted(cdf, 0.5 * total - 1e-12)])
-    return mean, median, tail
+    i = int(np.searchsorted(cdf, 0.5 * (cdf[-1] + tail) - 1e-12))
+    if i == ells.size:
+        raise NonConvergenceError(
+            f"neighbor-degree median lies past the {ells.size}-cell grid"
+        )
+    return mean, int(ells[i]), tail
 
 
 def _neighbor_degree_moments(params: ModelParams, k_max: int) -> np.ndarray:
@@ -579,10 +579,9 @@ def neighbor_degree_first_moment(params: ModelParams, k_max: int) -> np.ndarray:
 class DegreeProfile:
     """Mean/median neighbor degree per focal degree, from march levels."""
 
-    def __init__(self, params, joint, ell_cap=DEFAULT_ELL_CAP):
+    def __init__(self, params, joint):
         self.params = params
         self.joint = joint
-        self.ell_cap = ell_cap
         self.ks: list[int] = []
         self.means: list[float] = []
         self.medians: list[int] = []
@@ -592,9 +591,7 @@ class DegreeProfile:
     def add_level(self, march: NeighborMarch) -> None:
         """Record the march's current focal degree."""
         pl, coef = self._degree_row(march)
-        mean, median, _ = _degree_stats(
-            march.ells, pl, coef, self.params.mu_over_beta, self.ell_cap
-        )
+        mean, median, _ = _degree_stats(march.ells, pl, coef, self.params.mu_over_beta)
         self.ks.append(march.k)
         self.means.append(mean)
         self.medians.append(median)
@@ -629,26 +626,23 @@ def neighbor_quality_dist(params: ModelParams, theta: int) -> NeighborDist:
     return QualityAggregate(params).dist(theta)
 
 
-def neighbor_degree_dist(
-    params: ModelParams,
-    k: int,
-    rel_tol: float = DEFAULT_REL_TOL,
-    ell_cap: int = DEFAULT_ELL_CAP,
-) -> NeighborDist:
+def neighbor_degree_dist(params: ModelParams, k: int) -> NeighborDist:
     """Distribution of a random neighbor's degree given the node's degree.
 
     P(ell | k) = sum_theta P(theta | k) sum_phi P(ell, phi | k, theta).
-    The resolved support covers ``beta .. l_resolve``; the remaining
-    mass decays as ``ell**-(2 + mu/beta)``, and its model is pinned to
-    the law's exact mass and first moment
+    The resolved support covers ``LAW_CELLS`` degrees from ``beta``; the
+    remaining mass decays as ``ell**-(2 + mu/beta)``, and its model is
+    pinned to the law's exact mass and first moment
     (``neighbor_degree_first_moment``), so ``tail_mass`` is exactly 1
     less the resolved sum.  The mean is defined over the capped support
-    ``[beta, ell_cap]``.
+    ``[beta, DEFAULT_ELL_CAP]``.
 
     Raises
     ------
     DomainError
         If ``k < beta`` or ``k > DEFAULT_K_CAP``.
+    NonConvergenceError
+        If the median lies past the resolved support (large ``beta``).
     """
     beta = params.beta
     if int(k) != k or k < beta:
@@ -657,12 +651,11 @@ def neighbor_degree_dist(
     if k > DEFAULT_K_CAP:
         raise DomainError(f"k = {k} beyond the degree cap {DEFAULT_K_CAP}")
     joint = _cached_joint(params)
-    march = NeighborMarch(params, l_resolve=_l_resolve_for(rel_tol), k_hint=k)
+    march = NeighborMarch(params, l_resolve=LAW_CELLS, k_hint=k)
     while march.k < k:
         march.advance()
-    profile = DegreeProfile(params, joint, ell_cap=ell_cap)
-    pl, coef = profile._degree_row(march)
-    mean, median, tail = _degree_stats(march.ells, pl, coef, params.mu_over_beta, ell_cap)
+    pl, coef = DegreeProfile(params, joint)._degree_row(march)
+    mean, median, tail = _degree_stats(march.ells, pl, coef, params.mu_over_beta)
     return NeighborDist(
         kind="degree-given-k",
         values=march.ells.copy(),
@@ -670,7 +663,7 @@ def neighbor_degree_dist(
         tail_mass=tail,
         mean=mean,
         median=median,
-        meta={"k": k, "ell_cap": ell_cap},
+        meta={"k": k, "ell_cap": DEFAULT_ELL_CAP},
     )
 
 
@@ -679,7 +672,7 @@ def write_nn_table(
     k: int,
     theta: int,
     fh,
-    l_max: int | None = None,
+    l_max: int = NN_TABLE_L_MAX,
 ) -> None:
     """Dump P(ell, phi | k, theta) as CSV rows in ascending (ell, phi).
 
@@ -699,8 +692,6 @@ def write_nn_table(
     k = int(k)
     if k > DEFAULT_K_CAP:
         raise DomainError(f"k = {k} beyond the degree cap {DEFAULT_K_CAP}")
-    if l_max is None:
-        l_max = 2048
     support = [int(t) for t in params.quality.support]
     if theta not in support:
         raise UndefinedConditionalError(

@@ -150,12 +150,8 @@ def cmd_sweep(args) -> int:
         raise DomainError(f"{family} parameter out of domain: {bad[0]}")
     betas = _parse_int_list(args.beta, "--beta")
     theta_maxes = _parse_int_list(args.theta_max, "--theta-max")
-    if not (0.0 < args.rel_tol < 1.0):
-        raise DomainError(f"--rel-tol must be in (0, 1), got {args.rel_tol}")
     t0 = time.monotonic()
-    rows = measures.sweep(
-        family, grid, betas, theta_maxes, rel_tol=args.rel_tol, threads=args.threads
-    )
+    rows = measures.sweep(family, grid, betas, theta_maxes, threads=args.threads)
     elapsed = time.monotonic() - t0
     print(
         f"sweep: {len(rows)} grid points in {elapsed:.1f} s", file=sys.stderr
@@ -393,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma list of theta_max >= 1",
     )
-    sp.add_argument("--rel-tol", type=float, default=analytic.DEFAULT_REL_TOL)
     sp.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--threads", type=_positive_int, default=None)
@@ -445,7 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     sn.add_argument("--beta", type=_positive_int, required=True)
     sn.add_argument("--k", type=_positive_int, required=True, help="focal degree >= beta")
     sn.add_argument("--theta", type=int, required=True, help="focal quality")
-    sn.add_argument("--l-max", dest="l_max", type=_positive_int, default=None)
+    sn.add_argument(
+        "--l-max", dest="l_max", type=_positive_int, default=analytic.NN_TABLE_L_MAX
+    )
     sn.add_argument("-o", "--output", default=None)
     sn.set_defaults(func=cmd_nn_table)
     return ap

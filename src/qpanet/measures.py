@@ -39,6 +39,10 @@ __all__ = [
 _TIE_EPS = 1e-9
 SCAN_FAIL_RUN = 25
 SCAN_CAP_DEFAULT = 512
+# resolved neighbor degrees of the degree scan: each row's tail is pinned to
+# its exact mass and first moment, which makes the capped means on 512 cells
+# as accurate as an unpinned fit on 1024
+SCAN_CELLS = 512
 
 
 class ScanEdgeWarning(UserWarning):
@@ -136,19 +140,8 @@ def _run_paradox_march(
     return profile, tuple(notes)
 
 
-def _scan_grid(rel_tol: float) -> int:
-    """Resolved neighbor degrees of the degree scan.
-
-    Half the window ``_l_resolve_for`` gives: each row's tail is pinned
-    to its exact mass and first moment, which makes the capped means on
-    512 cells as accurate as an unpinned fit on 1024.
-    """
-    return analytic._l_resolve_for(rel_tol) // 2
-
-
 def critical_values(
     params: ModelParams,
-    rel_tol: float = analytic.DEFAULT_REL_TOL,
     scan_cap: int = SCAN_CAP_DEFAULT,
     joint: JointTable | None = None,
 ) -> Criticals:
@@ -160,20 +153,19 @@ def critical_values(
     The quality side is decided from the exact neighbor-quality law.
     The degree scan is a heuristic with a documented cap: a warning is
     emitted (and recorded in ``notes``) if the inequality still holds at
-    the scan edge.  A mean within 2e-2 of its degree anywhere on the
-    scan re-decides the degree criticals on a finer grid, also noted.
+    the scan edge.  The scan resolves ``SCAN_CELLS`` neighbor degrees; a
+    mean within 2e-2 of its degree anywhere on the scan re-decides the
+    degree criticals on ``4 * SCAN_CELLS``, also noted.
     """
     if joint is None:
         joint = analytic._cached_joint(params)
-    l_scan = _scan_grid(rel_tol)
-    profile, notes = _run_paradox_march(params, joint, l_scan, scan_cap)
+    profile, notes = _run_paradox_march(params, joint, SCAN_CELLS, scan_cap)
     margin = min(abs(m - k) for k, m in zip(profile.ks, profile.means))
     if margin < 2e-2:
-        # near tie: re-decided on four times the scan's grid
-        profile, notes = _run_paradox_march(params, joint, 4 * l_scan, scan_cap)
+        profile, notes = _run_paradox_march(params, joint, 4 * SCAN_CELLS, scan_cap)
         notes += (
-            f"near tie: mean margin {margin:.2e} on the {l_scan}-cell scan,"
-            f" re-decided on {4 * l_scan} cells",
+            f"near tie: mean margin {margin:.2e} on the {SCAN_CELLS}-cell scan,"
+            f" re-decided on {4 * SCAN_CELLS} cells",
         )
     agg = QualityAggregate(params)
     support = [int(t) for t in agg.support]
@@ -253,7 +245,7 @@ def paradox_fractions(
     )
 
 
-def _sweep_point(family, x, beta, theta_max, rel_tol) -> SweepRow:
+def _sweep_point(family, x, beta, theta_max) -> SweepRow:
     row = SweepRow(family=family, x=float(x), beta=int(beta), theta_max=int(theta_max))
     try:
         if family == "bernoulli":
@@ -264,7 +256,7 @@ def _sweep_point(family, x, beta, theta_max, rel_tol) -> SweepRow:
             raise DomainError(f"unknown quality family {family!r}")
         params = ModelParams(beta=beta, quality=pmf)
         joint = analytic.build_joint_table(params)
-        qpa = critical_values(params, rel_tol=rel_tol, joint=joint)
+        qpa = critical_values(params, joint=joint)
         row.qpa = qpa
         row.uncorrelated = uncorrelated_criticals(params, joint)
         row.fractions = paradox_fractions(params, qpa, joint)
@@ -278,7 +270,6 @@ def sweep(
     x_grid,
     beta_list,
     theta_max_list,
-    rel_tol: float = analytic.DEFAULT_REL_TOL,
     threads: int = 1,
 ) -> list[SweepRow]:
     """Evaluate all measures over a (x, beta, theta_max) grid.
@@ -296,11 +287,11 @@ def sweep(
         (x, b, t) for x in x_grid for b in beta_list for t in theta_max_list
     ]
     if threads <= 1:
-        return [_sweep_point(family, x, b, t, rel_tol) for (x, b, t) in grid]
+        return [_sweep_point(family, x, b, t) for (x, b, t) in grid]
     rows: list[SweepRow | None] = [None] * len(grid)
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         futs = {
-            pool.submit(_sweep_point, family, x, b, t, rel_tol): i
+            pool.submit(_sweep_point, family, x, b, t): i
             for i, (x, b, t) in enumerate(grid)
         }
         for fut in concurrent.futures.as_completed(futs):

@@ -111,7 +111,7 @@ def probe_level_masses(params):
     probe_ks = {k for k, _ in NN_SAMPLE_POINTS(params)}
     deepest = max(probe_ks)
     n_s = len(params.quality.support)
-    march = analytic.NeighborMarch(params, l_resolve=1024, k_hint=deepest)
+    march = analytic.NeighborMarch(params, l_resolve=analytic.LAW_CELLS, k_hint=deepest)
     while True:
         lvl = march.level()
         if lvl.k in probe_ks:

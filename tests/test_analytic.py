@@ -12,7 +12,6 @@ from qpanet._engine import (
     NeighborMarch,
     _tail_fit,
     tail_power_sum,
-    tail_weighted_sum,
 )
 from qpanet.analytic import (
     DEFAULT_ELL_CAP,
@@ -271,7 +270,7 @@ def _tail_model(coef, ells, s):
         (
             values.ravel(),
             tail_power_sum(coef, s, l_end),
-            tail_weighted_sum(coef, s, l_end, 10**4),
+            tail_power_sum(coef, s - 1.0, l_end, 10**4),
         )
     )
 
@@ -671,16 +670,14 @@ class TestNeighborDegreeDist:
         with pytest.raises(DomainError):
             neighbor_degree_dist(ba_params(2), 1)
 
-    def test_reach_past_joint_block(self):
-        # the degree scan reads only the joint block (k <= beta + 1023), but
-        # the law is defined up to the degree cap: P(theta | k) past the block
-        # is evaluated from the closed form.  At k >> l_resolve the fitted
-        # tail of the default 1024-cell grid misses the mass by up to 2.6e-3
-        # (k = 2000), so the grid is the 4096-cell one
-        params = ModelParams(beta=2, quality=make_exponential(1.5, 16))
-        d = neighbor_degree_dist(params, 1100, rel_tol=1e-14)
-        assert d.values.size == 4096
-        assert d.probs.sum() + d.tail_mass == pytest.approx(1.0, abs=1e-6)
+    def test_median_past_the_grid_raises(self):
+        # at beta = 1024 the resolved row holds less than half its mass, so
+        # the median lies past the grid: refused, not indexed past the end
+        from qpanet.errors import NonConvergenceError
+
+        params = ModelParams(beta=1024, quality=make_exponential(0.5, 4))
+        with pytest.raises(NonConvergenceError, match="1024-cell grid"):
+            neighbor_degree_dist(params, 1024)
 
     def test_tail_model_out_of_float_range_raises(self):
         # at g = 125 the tail amplitude row * ell**(2 + g) overflows; the
@@ -694,7 +691,7 @@ class TestNeighborDegreeDist:
         w = _joint_rows(params, 1, 1)[0][params.quality.support]
         row, coef = march.degree_row(w / w.sum())
         with pytest.raises(NonConvergenceError, match="exponent 127"):
-            _degree_stats(march.ells, row, coef, params.mu_over_beta, DEFAULT_ELL_CAP)
+            _degree_stats(march.ells, row, coef, params.mu_over_beta)
 
 
 class TestNnTableDump:
@@ -872,13 +869,6 @@ class TestNeighborDegreeFirstMoment:
             neighbor_degree_first_moment(ba_params(2), 1)
 
 
-def _default_scan_grid():
-    from qpanet.analytic import DEFAULT_REL_TOL
-    from qpanet.measures import _scan_grid
-
-    return _scan_grid(DEFAULT_REL_TOL)
-
-
 class TestPinnedDegreeRow:
     @pytest.mark.parametrize(
         "beta, pmf", [(5, make_custom([0.5, 0, 0, 0, 0, 0.5])), (2, make_exponential(0.5, 4))]
@@ -890,19 +880,19 @@ class TestPinnedDegreeRow:
         # cap), on the scan's grid and on neighbor_degree_dist's; an unpinned
         # tail on 1024 cells missed it by 1.5e-6 on the sparse support at
         # k <= 76, and by up to 1.7e-4 before the cap
-        from qpanet.analytic import DEFAULT_REL_TOL, DegreeProfile, _l_resolve_for
-        from qpanet.measures import SCAN_CAP_DEFAULT
+        from qpanet.analytic import LAW_CELLS, DegreeProfile
+        from qpanet.measures import SCAN_CAP_DEFAULT, SCAN_CELLS
 
         params = ModelParams(beta=beta, quality=pmf)
         joint = build_joint_table(params)
         depth = beta + SCAN_CAP_DEFAULT
-        n_ell = _default_scan_grid() if grid == "scan" else _l_resolve_for(DEFAULT_REL_TOL)
+        n_ell = SCAN_CELLS if grid == "scan" else LAW_CELLS
         march = NeighborMarch(params, l_resolve=n_ell, k_hint=depth)
         profile = DegreeProfile(params, joint)
         worst = 0.0
         while True:
             row, coef = profile._degree_row(march)
-            _, _, tail = _degree_stats(march.ells, row, coef, params.mu_over_beta, DEFAULT_ELL_CAP)
+            _, _, tail = _degree_stats(march.ells, row, coef, params.mu_over_beta)
             worst = max(worst, abs(row.sum() + tail - 1.0))
             if march.k >= depth:
                 break
@@ -910,11 +900,14 @@ class TestPinnedDegreeRow:
         assert worst < 1e-6, worst
 
     def test_normalized_far_past_the_grid(self):
-        # k = 2000 on the default 1024-cell grid: the window [L/2, L] is far
-        # from asymptotic, and an unpinned tail missed the mass by 2.6e-3
+        # k = 2000, past the joint block (k <= beta + 1023), on the 1024-cell
+        # grid: the window [L/2, L] is far from asymptotic, and an unpinned
+        # tail missed the mass by 2.6e-3
+        from qpanet.analytic import LAW_CELLS
+
         params = ModelParams(beta=2, quality=make_exponential(1.5, 16))
         d = neighbor_degree_dist(params, 2000)
-        assert d.values.size == 1024
+        assert d.values.size == LAW_CELLS
         assert abs(d.probs.sum() + d.tail_mass - 1.0) < 1e-6
 
     @pytest.mark.parametrize(
@@ -933,12 +926,13 @@ class TestPinnedDegreeRow:
         # g = 0.014 the 512-cell grid is 9.6e-4 off; 256 cells were 2.3e-2
         # off, so this fails if the scan's grid is narrowed
         from qpanet.analytic import DegreeProfile
+        from qpanet.measures import SCAN_CELLS
 
         params = ModelParams(beta=beta, quality=pmf)
         joint = build_joint_table(params)
         support = [int(t) for t in pmf.support]
         k_top = 70
-        scan = NeighborMarch(params, l_resolve=_default_scan_grid(), k_hint=k_top)
+        scan = NeighborMarch(params, l_resolve=SCAN_CELLS, k_hint=k_top)
         full = NeighborMarch(params, l_resolve=DEFAULT_ELL_CAP - beta + 1, k_hint=k_top)
         assert full.ells[-1] == DEFAULT_ELL_CAP
         profile = DegreeProfile(params, joint)

@@ -66,7 +66,6 @@ class TestSweepCommand:
             ("--beta", "0"),
             ("--beta", "2.5"),
             ("--theta-max", "0"),
-            ("--rel-tol", "-1"),
         ]:
             args = {"--q": "0.5", "--beta": "2", "--theta-max": "8", flag: value}
             out = tmp_path / "x.csv"
@@ -94,9 +93,29 @@ class TestSweepCommand:
         assert code == 3
         assert "NonConvergenceError" in err and "exponent 127" in err
 
+    def test_median_past_grid_exits_3(self, tmp_path, capsys):
+        # beta = 512: the degree row's median lies past the scan's grid; the
+        # grid point fails with the reason and the command exits 3
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            ["sweep", "--family", "exponential", "--q", "0.5", "--beta", "512"]
+            + ["--theta-max", "4", "-o", str(out)],
+            capsys,
+        )
+        assert code == 3
+        assert "NonConvergenceError" in err and "512-cell grid" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(["sweep", "--bogus", "1"], capsys)
         assert code == 2
+        # the scan's grids are fixed: there is no tolerance to set
+        code, _, err = run(
+            ["sweep", "--family", "exponential", "--q", "0.5", "--beta", "2"]
+            + ["--theta-max", "8", "--rel-tol", "-1"],
+            capsys,
+        )
+        assert code == 2
+        assert "unrecognized arguments: --rel-tol" in err
 
     def test_byte_determinism(self, tmp_path, capsys):
         args = [
