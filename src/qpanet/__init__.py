@@ -39,12 +39,7 @@ from .measures import (
     uncorrelated_criticals,
     write_sweep_csv,
 )
-from .numerics import (
-    SeriesResult,
-    adaptive_series,
-    ln_gamma,
-    sum_log_terms,
-)
+from .numerics import SeriesResult, adaptive_series
 from .quality import (
     QualityPmf,
     load_custom,
@@ -76,8 +71,6 @@ __all__ = [
     "Network",
     "EmpiricalReport",
     "SeriesResult",
-    "ln_gamma",
-    "sum_log_terms",
     "adaptive_series",
     "make_bernoulli",
     "make_exponential",

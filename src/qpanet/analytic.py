@@ -20,7 +20,7 @@ import numpy as np
 
 from ._engine import NeighborMarch, tail_power_sum
 from .errors import DomainError, NonConvergenceError, UndefinedConditionalError
-from .numerics import _ln_gamma_raw, sum_log_terms
+from .numerics import _ln_gamma_raw
 from .quality import QualityPmf
 
 # unused here; perfbench/tracing.py looks both up on this module (ROADMAP item 1)
@@ -104,9 +104,6 @@ class JointTable:
     def k_max(self) -> int:
         return int(self.k_values[-1])
 
-    def degree_cdf(self) -> np.ndarray:
-        return np.cumsum(self.degree_marginal)
-
     def p_k_given_theta(self, theta: int) -> np.ndarray:
         rho = self.params.quality.probs[theta]
         if rho <= 0.0:
@@ -149,9 +146,6 @@ class NeighborDist:
     mean: float
     median: int
     meta: dict = field(default_factory=dict)
-
-    def cdf(self) -> np.ndarray:
-        return np.cumsum(self.probs)
 
 
 def _check_quality_index(params: ModelParams, value: int, name: str) -> int:
@@ -269,10 +263,12 @@ def nn_probability(
 
     Reference evaluation, term for term as the closed form is written:
     prefactor times the sum of the two j-sums (one to k, one to ell),
-    every term assembled in log space and combined by log-sum-exp.  The
-    vectorized march in this package is regression-tested against this
-    function.
+    every term assembled in log space from log-gammas and combined by
+    ``scipy.special.logsumexp``.  The vectorized march in this package
+    is regression-tested against this function.
     """
+    from scipy.special import logsumexp
+
     theta = _check_quality_index(params, theta, "theta")
     phi = _check_quality_index(params, phi, "phi")
     beta = params.beta
@@ -284,9 +280,7 @@ def nn_probability(
     if rho_phi == 0.0:
         return 0.0
     g = params.mu_over_beta
-
-    def lg(x):
-        return _ln_gamma_raw(np.asarray(x, dtype=float))
+    lg = _ln_gamma_raw
 
     def lnb(n, m):
         return lg(n + 1.0) - lg(m + 1.0) - lg(n - m + 1.0)
@@ -319,7 +313,7 @@ def nn_probability(
         )
     if not pieces:
         return 0.0
-    return math.exp(ln_pref + sum_log_terms(np.concatenate(pieces)))
+    return math.exp(ln_pref + logsumexp(np.concatenate(pieces)))
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
     NonConvergenceError,
     QpanetError,
 )
-from .quality import make_bernoulli, make_exponential
+from .quality import make_family
 
 SCHEMA_VERSION = 1
 
@@ -109,12 +109,6 @@ def _quality_from_args(args) -> tuple[str, float]:
             raise DomainError("--p is not valid with the exponential family")
         return "exponential", args.q
     raise DomainError(f"unknown family {args.family!r}")
-
-
-def _make_pmf(family: str, x: float, theta_max: int):
-    if family == "bernoulli":
-        return make_bernoulli(x, theta_max)
-    return make_exponential(x, theta_max)
 
 
 def _default_threads() -> int:
@@ -241,7 +235,7 @@ def cmd_simulate(args) -> int:
     family, x = _quality_from_args(args)
     if args.theta_max is None:
         raise DomainError("growth needs --theta-max")
-    pmf = _make_pmf(family, x, args.theta_max)
+    pmf = make_family(family, x, args.theta_max)
     params = analytic.ModelParams(beta=args.beta, quality=pmf)
     grow = simulate.grow_qpa if args.mode == "qpa" else simulate.grow_uniform
     seeds = [args.seed + i for i in range(args.replicas)]
@@ -344,7 +338,7 @@ def cmd_nn_table(args) -> int:
     family, x = _quality_from_args(args)
     if args.theta_max is None:
         raise DomainError("nn-table needs --theta-max")
-    pmf = _make_pmf(family, x, args.theta_max)
+    pmf = make_family(family, x, args.theta_max)
     params = analytic.ModelParams(beta=args.beta, quality=pmf)
     buf = io.StringIO()
     analytic.write_nn_table(params, args.k, args.theta, buf, l_max=args.l_max)

@@ -22,7 +22,7 @@ from . import analytic
 from ._engine import NeighborMarch
 from .analytic import DegreeProfile, JointTable, ModelParams, QualityAggregate
 from .errors import DomainError, QpanetError
-from .quality import make_bernoulli, make_exponential
+from .quality import make_family
 
 __all__ = [
     "Criticals",
@@ -248,13 +248,7 @@ def paradox_fractions(
 def _sweep_point(family, x, beta, theta_max) -> SweepRow:
     row = SweepRow(family=family, x=float(x), beta=int(beta), theta_max=int(theta_max))
     try:
-        if family == "bernoulli":
-            pmf = make_bernoulli(x, theta_max)
-        elif family == "exponential":
-            pmf = make_exponential(x, theta_max)
-        else:
-            raise DomainError(f"unknown quality family {family!r}")
-        params = ModelParams(beta=beta, quality=pmf)
+        params = ModelParams(beta=beta, quality=make_family(family, x, theta_max))
         joint = analytic.build_joint_table(params)
         qpa = critical_values(params, joint=joint)
         row.qpa = qpa

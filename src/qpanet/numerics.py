@@ -1,12 +1,12 @@
-"""Log-domain evaluation primitives.
+"""Log-gamma and an adaptive series helper.
 
-Everything downstream works with logarithms of gamma functions and
-binomial coefficients: the closed-form node and neighbor distributions
-are ratios of gamma functions whose raw values overflow float64 long
-before the interesting part of the degree range is reached.  This module
-provides a vectorized log-gamma, a stable log-sum-exp, and an adaptive
-summation helper that the program no longer calls (the joint law's
-tail has a closed form).
+Everything downstream works with logarithms of gamma functions: the
+closed-form node and neighbor distributions are ratios of gamma
+functions whose raw values overflow float64 long before the interesting
+part of the degree range is reached.  ``_ln_gamma_raw`` is the one
+log-gamma entry point of the package (``scipy.special.gammaln``);
+``adaptive_series`` is a summation helper that the program no longer
+calls (the joint law's tail has a closed form).
 """
 
 from __future__ import annotations
@@ -21,87 +21,19 @@ from .errors import DomainError, NonConvergenceError
 
 __all__ = [
     "SeriesResult",
-    "ln_gamma",
-    "sum_log_terms",
     "adaptive_series",
 ]
 
-# Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
-# Relative accuracy of the rational part is ~1e-15 across x > 0.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEF = np.array(
-    [
-        0.99999999999999709182,
-        57.156235665862923517,
-        -59.597960355475491248,
-        14.136097974741747174,
-        -0.49191381609762019978,
-        0.33994649984811888699e-4,
-        0.46523628927048575665e-4,
-        -0.98374475304879564677e-4,
-        0.15808870322491248884e-3,
-        -0.21026444172410488319e-3,
-        0.21743961811521264320e-3,
-        -0.16431810653676389022e-3,
-        0.84418223983852743293e-4,
-        -0.26190838401581408670e-4,
-        0.36899182659531622704e-5,
-    ]
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 def _ln_gamma_raw(x):
-    """Lanczos kernel, no domain checks.  ``x`` is a positive float array."""
-    x = np.asarray(x, dtype=float)
-    z = x - 1.0
-    series = np.full_like(z, _LANCZOS_COEF[0])
-    for i in range(1, len(_LANCZOS_COEF)):
-        series += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(series)
+    """``scipy.special.gammaln`` of positive floats, with no domain checks.
 
-
-def ln_gamma(x):
-    """Natural log of the gamma function for real ``x > 0``.
-
-    Accepts scalars or arrays.  Absolute error is below 1e-12 wherever
-    that is representable (for very large arguments the error is a few
-    ulps of the result, which is the float64 floor).
-
-    Raises
-    ------
-    DomainError
-        If any argument is not strictly positive.
+    scipy is imported here, not at module level, so that ``import qpanet``
+    and network growth never load it.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
-        raise DomainError(f"ln_gamma requires x > 0, got {x!r}")
-    out = _ln_gamma_raw(arr)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    from scipy.special import gammaln
 
-
-def sum_log_terms(log_terms) -> float:
-    """log(sum(exp(log_terms))) without overflow.
-
-    Entries may be ``-inf`` (zero terms).  The result is never below the
-    largest entry.
-
-    Raises
-    ------
-    DomainError
-        If the input sequence is empty.
-    """
-    a = np.asarray(log_terms, dtype=float)
-    if a.size == 0:
-        raise DomainError("sum_log_terms requires a non-empty sequence")
-    m = float(np.max(a))
-    if m == -np.inf:
-        return -np.inf
-    rest = np.exp(a - m)
-    # exclude the max entry itself via sum - 1 to keep result >= m exactly
-    return m + math.log1p(float(np.sum(rest)) - 1.0)
+    return gammaln(x)
 
 
 @dataclass

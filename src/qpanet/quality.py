@@ -20,6 +20,7 @@ __all__ = [
     "QualityPmf",
     "make_bernoulli",
     "make_exponential",
+    "make_family",
     "make_custom",
     "load_custom",
     "sample_quality",
@@ -112,6 +113,21 @@ def make_exponential(q: float, theta_max: int) -> QualityPmf:
     weights = np.power(float(q), np.arange(theta_max + 1, dtype=float))
     probs = weights / weights.sum()
     return QualityPmf(probs, theta_max, "exponential", float(q))
+
+
+def make_family(family: str, x: float, theta_max: int) -> QualityPmf:
+    """The bernoulli (``x`` = p) or exponential (``x`` = q) PMF, by family name.
+
+    Raises
+    ------
+    DomainError
+        If ``family`` is neither, or as the family's constructor does.
+    """
+    if family == "bernoulli":
+        return make_bernoulli(x, theta_max)
+    if family == "exponential":
+        return make_exponential(x, theta_max)
+    raise DomainError(f"unknown quality family {family!r}")
 
 
 def make_custom(weights) -> QualityPmf:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytic, measures, simulate
 from .analytic import ModelParams, build_joint_table
-from .quality import make_bernoulli, make_custom, make_exponential
+from .quality import make_bernoulli, make_custom, make_exponential, make_family
 
 __all__ = ["Check", "run_checks", "NORMALIZATION_GRID", "NN_SAMPLE_POINTS"]
 
@@ -38,11 +38,7 @@ def NORMALIZATION_GRID():
     for beta in NORMALIZATION_BETAS:
         for family, x in NORMALIZATION_FAMILIES:
             for tmax in NORMALIZATION_THETA_MAXES:
-                pmf = (
-                    make_bernoulli(x, tmax)
-                    if family == "bernoulli"
-                    else make_exponential(x, tmax)
-                )
+                pmf = make_family(family, x, tmax)
                 yield ModelParams(beta=beta, quality=pmf), family, x, tmax
 
 

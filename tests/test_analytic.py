@@ -1,6 +1,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +19,7 @@ from qpanet.analytic import (
     ModelParams,
     QualityAggregate,
     _degree_stats,
+    _joint_rows,
     _joint_tail,
     build_joint_table,
     joint_probability,
@@ -70,6 +72,52 @@ class TestJointProbability:
     def test_zero_probability_quality_gives_zero(self):
         p = ba_params(2)
         assert joint_probability(p, 5, 3) == 0.0
+
+    def test_rows_and_tail_against_mpmath(self):
+        # both closed forms exponentiate a sum of log-gammas as large as
+        # lnG(k + theta + 3 + g), so their relative error grows with that
+        # magnitude; 40-digit mpmath on random sparse PMFs, k to 5000
+        rng = np.random.default_rng(19)
+        k_top = 5000
+        for _ in range(12):
+            n = int(rng.integers(2, 10))
+            weights = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+            weights[int(rng.integers(n))] += 0.05
+            beta = int(rng.integers(1, 17))
+            p = ModelParams(beta=beta, quality=make_custom(weights))
+            rows = _joint_rows(p, beta, k_top)
+            for k in np.unique(np.geomspace(beta, k_top, 30).astype(int)):
+                k = int(k)
+                tail = _joint_tail(p, k)
+                for th in np.flatnonzero(p.quality.probs):
+                    th = int(th)
+                    want_row, want_tail = _joint_mpmath(p, k, th)
+                    magnitude = math.lgamma(k + th + 3 + p.mu_over_beta)
+                    rtol = 8 * np.finfo(float).eps * magnitude
+                    for got, want in (
+                        (rows[k - beta, th], want_row),
+                        (joint_probability(p, k, th), want_row),
+                        (tail[th], want_tail),
+                    ):
+                        rel = float(abs(mpmath.mpf(got) - want) / want)
+                        assert rel <= rtol, (beta, k, th, rel, rtol)
+
+
+def _joint_mpmath(params, k, theta):
+    """P(k, theta) and P(degree > k, theta) at 40 digits, from the float
+    rho(theta) and g that the program itself reads."""
+    beta = params.beta
+    with mpmath.workdps(40):
+        g = mpmath.mpf(params.mu_over_beta)
+        ln_common = (
+            mpmath.log(mpmath.mpf(params.quality.probs[theta]))
+            + mpmath.loggamma(beta + theta + 2 + g)
+            - mpmath.loggamma(beta + theta)
+            - mpmath.loggamma(k + theta + 3 + g)
+        )
+        row = mpmath.exp(ln_common + mpmath.log(2 + g) + mpmath.loggamma(k + theta))
+        tail = mpmath.exp(ln_common + mpmath.loggamma(k + 1 + theta))
+    return row, tail
 
 
 class TestJointTable:
@@ -505,8 +553,6 @@ class TestJointTail:
         far = big_k + extra
         near_tail = _joint_tail(params, big_k)
         np.testing.assert_array_equal(near_tail, table.tail_by_theta)
-        from qpanet.analytic import _joint_rows
-
         between = near_tail - _joint_tail(params, far)
         direct = _joint_rows(params, big_k + 1, far).sum(axis=0)
         # both sides are exponentials of log-gamma sums as large as

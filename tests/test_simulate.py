@@ -1,5 +1,8 @@
 import io
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import networkx as nx
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import qpanet
 from qpanet.analytic import ModelParams
 from qpanet.errors import DomainError, GraphParseError
 from qpanet.quality import make_bernoulli, make_exponential
@@ -82,6 +86,28 @@ class TestGrowth:
         net = grow_uniform(100, small_params(2), seed=4)
         assert net.provenance == "uniform"
         assert net.seed == 4
+
+    def test_growth_never_imports_scipy(self):
+        # importing scipy.special is most of a fresh growth process's set-up
+        # time, so the package and the simulator must not load it
+        code = (
+            "import sys\n"
+            "import qpanet\n"
+            "params = qpanet.ModelParams(beta=2, quality=qpanet.make_exponential(0.5, 4))\n"
+            "qpanet.empirical_report(qpanet.grow_qpa(2000, params, seed=1))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qpanet.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 def exact_target_law(n: int, beta: int, uniform: bool) -> dict:
