@@ -30,6 +30,12 @@ times each cell's prefactor ratio to that cell, carried from level to
 level by rational factors.  ``level()`` assembles the full table;
 ``degree_row(w)``, all the degree scan reads, contracts the pairs with
 per-theta weights first.  Neither takes an ``exp`` per cell.
+
+Past the grid the law decays as ``ell**-(2 + g)``, g = mu/beta, with an
+amplitude the closed form gives per pair (``tail_amplitude``).  Only
+contracted rows carry a tail model (``power_tail_fit``): that amplitude
+plus two corrections, set by the row's exact mass and, where finite, its
+exact first moment.  ``level()`` returns resolved cells only.
 """
 
 from __future__ import annotations
@@ -96,11 +102,10 @@ class _ScaledRows:
 
 @dataclass
 class MarchLevel:
-    """Snapshot of the neighbor distribution at one focal degree."""
+    """The resolved neighbor distribution at one focal degree; no tail."""
 
     k: int
     probs: np.ndarray  # [n_pairs, n_ell] linear probabilities
-    tail_coef: np.ndarray  # [n_pairs, 3]: probs ~ sum_r coef_r * ell**-(2+g+r)
 
 
 class NeighborMarch:
@@ -109,19 +114,18 @@ class NeighborMarch:
     ``pairs`` enumerates ordered (theta, phi) over the support of the
     quality distribution; ``probs`` rows follow that order.  The
     resolved ell grid is ``beta .. beta + n_ell - 1``; mass beyond it
-    follows the known power-law tail ``ell**-(2 + mu/beta)``, whose
-    amplitude and finite-ell corrections are fitted per pair at every
-    level (see ``power_tail_fit``).
+    follows the power-law tail ``ell**-(2 + mu/beta)``, whose amplitude
+    ``tail_amplitude()`` gives in closed form per pair.
 
     The state is one j-sum table, the sum of the two j-sums of the
     closed form, held as ``[n_pairs, blocks, _BLOCK]`` cells: the grid
     padded to whole blocks, the padding trimmed on read.  Both readers
     scale it by one log scale per (pair, block) and the carried
-    prefactor ratio per cell: ``level()`` assembles the full table with
-    one tail fit per pair; ``degree_row(w)`` contracts the pairs with
-    per-theta weights before any cell is materialized and fits the tail
-    of that one row.  A read that leaves float range raises
-    ``NonConvergenceError``.
+    prefactor ratio per cell: ``level()`` assembles the resolved cells
+    of the full table, with no tail; ``degree_row(w)`` contracts the
+    pairs with per-theta weights before any cell is materialized and
+    adds that one row's tail model (``power_tail_fit``).  A read that
+    leaves float range raises ``NonConvergenceError``.
     """
 
     def __init__(self, params, l_resolve: int, k_hint: int = 0):
@@ -184,7 +188,10 @@ class NeighborMarch:
         ends = ell_blocks[:, -1]
         self._gli_end = self._gli[ends[None, :] + phi_arr[:, None]]
         self._end_idx = (theta_arr + phi_arr + 1)[:, None] + ends[None, :]
-        self._level_cache: MarchLevel | None = None
+        # tail_amplitude()'s k-independent pieces
+        self._amp_const = (
+            self._pref_const + self._gli[beta + theta_arr + 1] - self._glf[beta + theta_arr]
+        )
 
         # prefactor over its value at the block's last cell, at level beta;
         # pref(ell) / pref(ell + 1) = (s + ell + k + 3 + g) / (ell + phi)
@@ -236,17 +243,33 @@ class NeighborMarch:
     def _make_level(self) -> MarchLevel:
         probs = self._state.vals * self._pref_ratio()
         probs *= np.exp(self._log_scale())[:, :, None]
-        probs = self._trim(probs, "neighbor law")
-        tail_coef = power_tail_fit(probs, self.ells, 2.0 + self.g)
-        return MarchLevel(k=self.k, probs=probs, tail_coef=tail_coef)
+        return MarchLevel(k=self.k, probs=self._trim(probs, "neighbor law"))
 
     def level(self) -> MarchLevel:
-        if self._level_cache is None:
-            self._level_cache = self._make_level()
-        return self._level_cache
+        """The resolved P(ell, phi | k, theta) of every pair at the march's k."""
+        return self._make_level()
+
+    def tail_amplitude(self) -> np.ndarray:
+        """Per pair, c0 in P(ell, phi | k, theta) ~ c0 ell**-(2 + g) as ell -> infinity.
+
+        c0 = rho(phi) G(k+theta+3+g) G(beta+2+phi+g) G(beta+theta+1)
+        / (k G(beta+phi) G(beta+2+theta+g) G(k+theta+2)), G the gamma
+        function: the first j-sum of the closed form decays faster, and
+        the second tends to a Beta integral.  Read off the gamma lattices;
+        infinite where it leaves float range (g of order 100).
+        """
+        k = self.k
+        ln_c0 = (
+            self._amp_const
+            - math.log(k)
+            + self._glf[k + self._theta_of_pair + 1]
+            - self._gli[k + self._theta_of_pair + 2]
+        )
+        with np.errstate(over="ignore"):
+            return np.exp(ln_c0)
 
     def degree_row(
-        self, w_theta: np.ndarray, mass: float | None = None, moment: float | None = None
+        self, w_theta: np.ndarray, moment: float = math.inf
     ) -> tuple[np.ndarray, np.ndarray]:
         """(sum over pairs of w[theta] P(ell, phi | k, theta), its tail model).
 
@@ -254,9 +277,11 @@ class NeighborMarch:
         (pair, block) of the j-sum state gets one scalar (weight times
         the log scale, normalized per block) and one ``einsum`` over the
         pairs supplies the carried prefactor ratio per cell.  Returns the
-        resolved row and [1, 3] tail coefficients.  ``mass`` and
-        ``moment``, the row's exact total and first moment over all ell,
-        pin the tail model (see ``power_tail_fit``).
+        resolved row and [1, 3] tail coefficients: the amplitude is the
+        contracted ``tail_amplitude()``, and the model's total over all
+        ell is the row's exact mass, ``sum(w_theta)``; ``moment``, the
+        row's exact first moment where finite, sets the last coefficient
+        (see ``power_tail_fit``).
         """
         w = np.repeat(np.asarray(w_theta, dtype=float), len(self.support))
         vals = self._state.vals
@@ -272,7 +297,8 @@ class NeighborMarch:
         row = np.einsum("pbi,pb,pbi->bi", vals, c, self._pref_ratio())
         row *= np.exp(top)[:, None]
         row = self._trim(row.reshape(1, -1), "degree row")
-        coef = power_tail_fit(row, self.ells, 2.0 + self.g, mass=mass, moment=moment)
+        c0 = w @ self.tail_amplitude()
+        coef = power_tail_fit(row, self.ells, 2.0 + self.g, c0, float(np.sum(w_theta)), moment)
         return row[0], coef
 
     def advance(self) -> None:
@@ -282,131 +308,66 @@ class NeighborMarch:
         if idx >= self._j_count:
             raise RuntimeError("march exceeded precomputed weight range")
         self._state.advance(self._ln_cumw[:, idx])
-        self._level_cache = None
-
-    def tail_mass(self, lvl: MarchLevel) -> np.ndarray:
-        """Per-pair mass beyond the resolved grid."""
-        return tail_power_sum(lvl.tail_coef, 2.0 + self.g, int(self.ells[-1]))
 
 
 def power_tail_fit(
-    rows: np.ndarray, ells: np.ndarray, s: float, mass=None, moment=None
+    rows: np.ndarray, ells: np.ndarray, s: float, c0, mass, moment=math.inf
 ) -> np.ndarray:
-    """Fit rows[:, i] ~ c0*ell**-s + c1*ell**-(s+1) + c2*ell**-(s+2).
+    """Tail model of each row past the grid: c0 ell**-s + c1 ell**-(s+1) + c2 ell**-(s+2).
 
-    The leading exponent is known exactly, so only the amplitude and its
-    first two finite-ell corrections are fitted (least squares over the
-    last half of the grid).  Returns [n_rows, 3] coefficients; rows
-    where the fit misbehaves (structural zeros, pre-asymptotic data)
-    fall back to a single-term window estimate.
-
-    ``mass`` and ``moment``, each row's exact total and first moment
-    over all ell, pin the model: its sum past the grid is ``mass`` less
-    the row's sum, and its first moment past the grid ``moment`` less
-    the row's (where given and finite, s > 2).  The least squares are
-    then solved under those equalities, and no row falls back (on grids
-    of 16 cells or more).
+    ``c0`` is the exact amplitude (``NeighborMarch.tail_amplitude``).
+    ``c1`` and ``c2`` solve one 2x2 system in closed form: the model's
+    sum past the grid is ``mass`` less the row's sum, and its first
+    moment past the grid is ``moment`` less the row's where that is
+    finite (s > 2); otherwise the model meets the row's last resolved
+    cell.  ``mass`` and ``moment`` are each row's exact totals over all
+    ell.  Returns [n_rows, 3] coefficients; a model whose sums leave
+    float range (large s) comes back non-finite, for the reader to refuse.
     """
-    return _tail_fit(rows, ells, s, mass, moment)[0]
+    l_end = int(ells[-1])
+    z = [_zeta(s + r, l_end + 1) for r in (-1.0, 0.0, 1.0, 2.0)]
+    c0 = np.asarray(c0, dtype=float)
+    moment = np.asarray(moment, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rhs_mass = mass - rows.sum(axis=1) - c0 * z[1]
+        if np.all(np.isfinite(moment)):
+            a1, a2 = z[1], z[2]
+            rhs = moment - rows @ ells.astype(float) - c0 * z[0]
+        else:
+            a1, a2 = float(l_end) ** -(s + 1.0), float(l_end) ** -(s + 2.0)
+            rhs = rows[:, -1] - c0 * float(l_end) ** -s
+        # unknowns u_r = c_r zeta(s + r, l_end + 1), the mass each correction
+        # carries past the grid: the mass row is then (1, 1), and the other
+        # row holds ratios that stay finite wherever the zeta values do
+        r1, r2 = a1 / z[2], a2 / z[3]
+        u1 = (rhs - r2 * rhs_mass) / (r1 - r2)
+        coef = np.empty((rows.shape[0], 3))
+        coef[:, 0], coef[:, 1], coef[:, 2] = c0, u1 / z[2], (rhs_mass - u1) / z[3]
+    return coef
 
 
-def _tail_fit(
-    rows: np.ndarray, ells: np.ndarray, s: float, mass=None, moment=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(``power_tail_fit`` coefficients, mask of the rows that fell back).
+@functools.lru_cache(maxsize=256)
+def _zeta(x: float, q: int) -> np.float64:
+    """Hurwitz zeta(x, q): every level of one grid reads the same few."""
+    from scipy.special import zeta  # imported here: growth never needs scipy
 
-    Only on fallback rows is the fit not linear in the data: without them
-    the fit of a weighted sum of rows is the weighted sum of their fits.
-    """
-    n = rows.shape[1]
-    lo = n // 2
-    out = np.zeros((rows.shape[0], 3))
-    if n - lo < 8:
-        c = rows[:, -1] * float(ells[-1]) ** s
-        out[:, 0] = np.maximum(np.where(np.isfinite(c), c, 0.0), 0.0)
-        return out, np.ones(rows.shape[0], dtype=bool)
-    lw = ells[lo:].astype(float)
-    with np.errstate(over="ignore"):
-        y = rows[:, lo:] * lw**s
-    if mass is not None:
-        return _pinned_fit(rows, ells, s, y, mass, moment)
-    inv = 1.0 / lw
-    design = np.stack([np.ones_like(inv), inv, inv * inv], axis=1)
-    gram = design.T @ design
-    coef = np.linalg.solve(gram, design.T @ y.T).T  # [n_rows, 3]
-    # sanity: the model must stay non-negative at and beyond the grid end;
-    # fall back to a plain window mean otherwise
-    l_end = float(ells[-1])
-    val_end = coef[:, 0] + coef[:, 1] / l_end + coef[:, 2] / l_end**2
-    fallback = np.maximum(y[:, -max(8, y.shape[1] // 4):].mean(axis=1), 0.0)
-    bad = (coef[:, 0] < 0.0) | (val_end < 0.0) | ~np.isfinite(coef).all(axis=1)
-    coef[bad] = 0.0
-    coef[bad, 0] = fallback[bad]
-    return coef, bad
-
-
-def _pinned_fit(rows, ells, s, y, mass, moment):
-    """``_tail_fit`` under exact tail mass (and first moment): no row falls back."""
-    ells = ells.astype(float)
-    targets = [np.asarray(mass, dtype=float) - rows.sum(axis=1)]
-    if moment is not None and s > 2.0:
-        targets.append(np.asarray(moment, dtype=float) - rows @ ells)
-    on_data, on_targets = _pinned_operator(ells[ells.size // 2], ells[-1], s, len(targets))
-    return y @ on_data + np.array(targets).T @ on_targets, np.zeros(rows.shape[0], dtype=bool)
-
-
-@functools.lru_cache(maxsize=32)
-def _pinned_operator(l_lo: float, l_end: float, s: float, m: int):
-    """The least-squares tail fit over [l_lo, l_end] under m equalities, as a linear map.
-
-    One KKT system [[gram, A.T], [A, 0]] [c; lambda] = [design.T y; b]:
-    row r of A holds the model's sums zeta(s + i - r, l_end + 1) past
-    the grid end, b the tail mass (r = 0) and first moment (r = 1) the
-    row's exact totals leave, each equality scaled to unit size.
-    Returns the maps from y and from b to c, [window, 3] and [m, 3]:
-    every level of one grid solves the same system.
-    """
-    from scipy.special import zeta
-
-    lw = np.arange(l_lo, l_end + 1.0)
-    inv = 1.0 / lw
-    design = np.stack([np.ones_like(inv), inv, inv * inv], axis=1)
-    a = np.array([[zeta(s + i - r, l_end + 1.0) for i in range(3)] for r in range(m)])
-    scale = np.abs(a).max(axis=1, keepdims=True)
-    kkt = np.zeros((3 + m, 3 + m))
-    kkt[:3, :3] = design.T @ design
-    # at large s the sums underflow to zero and the solve returns NaN, which
-    # the readers refuse as a tail model outside float range
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kkt[3:, :3] = a / scale
-        kkt[:3, 3:] = kkt[3:, :3].T
-        rhs = np.zeros((3 + m, lw.size + m))
-        rhs[:3, : lw.size] = design.T
-        rhs[3:, lw.size :] = np.diag(1.0 / scale[:, 0])
-    op = np.linalg.solve(kkt, rhs)[:3].T
-    on_data, on_targets = op[: lw.size].copy(), op[lw.size :].copy()
-    # shared by every caller of the cache
-    on_data.setflags(write=False)
-    on_targets.setflags(write=False)
-    return on_data, on_targets
+    return zeta(x, q)
 
 
 def tail_power_sum(coef: np.ndarray, s: float, l_end: int, upto=None) -> np.ndarray:
-    """Sum of the fitted tail model over ell = l_end+1 .. upto (or infinity).
+    """Sum of the tail model over ell = l_end+1 .. upto (or infinity).
 
     The model is ``sum_r coef_r * ell**-(s + r)``; ``s - 1`` gives its
     first moment.  Exponent 1 (the first moment at g = 0) needs a finite
     ``upto`` and is summed directly.
     """
-    from scipy.special import zeta  # imported here: growth never needs scipy
-
     coef = np.atleast_2d(coef)
     total = np.zeros(coef.shape[0])
     for r in range(3):
         if s + r > 1.0:
-            z = zeta(s + r, l_end + 1)
+            z = _zeta(s + r, l_end + 1)
             if upto is not None:
-                z = z - zeta(s + r, upto + 1)
+                z = z - _zeta(s + r, upto + 1)
         else:
             z = np.sum(np.arange(l_end + 1, upto + 1, dtype=float) ** -(s + r))
         total += coef[:, r] * z

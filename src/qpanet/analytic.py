@@ -463,13 +463,19 @@ class QualityAggregate:
         )
 
 
-def quality_q_level(march: NeighborMarch, lvl) -> np.ndarray:
-    """Per-pair conditional mass sum_ell P(ell, phi | k, theta), tails included.
+def quality_q_level(march: NeighborMarch) -> np.ndarray:
+    """Per-pair conditional mass sum_ell P(ell, phi | k, theta) at the march's k.
 
-    Exactly (beta/k) pi(phi) + (1 - beta/k) rho(phi) (see
-    ``QualityAggregate``); the march reaches it through its fitted tails.
+    Exactly (beta/k) pi(phi) + (1 - beta/k) rho(phi), pi(phi) = rho(phi)
+    (beta + phi)/(beta + mu) (see ``QualityAggregate``), in the order of
+    ``march.pairs``.
     """
-    return lvl.probs.sum(axis=1) + march.tail_mass(lvl)
+    params, k = march.params, march.k
+    beta = params.beta
+    phi = np.array([f for _, f in march.pairs])
+    rho = params.quality.probs[phi]
+    pi = rho * (beta + phi) / (beta + params.quality.mean)
+    return (beta / k) * pi + (1.0 - beta / k) * rho
 
 
 def _degree_stats(ells, pl, coef, g) -> tuple[float, int, float]:
@@ -480,9 +486,9 @@ def _degree_stats(ells, pl, coef, g) -> tuple[float, int, float]:
     Raises
     ------
     NonConvergenceError
-        If the tail model is not finite (its amplitude ``row * ell**s``
-        leaves float range at large exponents ``s``), or the median lies
-        past the grid.
+        If the tail model is not finite (its amplitude or its sums past
+        the grid leave float range at large exponents ``s``), or the
+        median lies past the grid.
     """
     s = 2.0 + g
     if not np.all(np.isfinite(coef)):
@@ -593,16 +599,17 @@ class DegreeProfile:
     def _degree_row(self, march: NeighborMarch):
         """(P(ell | k) resolved row, its tail-model coefficients) at the march's k.
 
-        The march contracts over (theta, phi) with weights P(theta | k)
-        and fits one tail, without assembling the full level.  The tail
-        is pinned to the row's exact mass, 1, and its exact first
-        moment E[ell | k].
+        The march contracts over (theta, phi) with weights P(theta | k),
+        without assembling the full level.  The tail model holds the
+        row's exact mass, 1, and its exact first moment E[ell | k]
+        (infinite at g = 0, where the model meets the last resolved cell
+        instead).
         """
         i = march.k - self.params.beta
         if i >= len(self._moments):
             self._moments = _neighbor_degree_moments(self.params, 2 * march.k)
         w = self.joint.p_theta_given_k(march.k)[self._support]
-        return march.degree_row(w, mass=1.0, moment=float(w @ self._moments[i]))
+        return march.degree_row(w, moment=float(w @ self._moments[i]))
 
 
 def neighbor_quality_dist(params: ModelParams, theta: int) -> NeighborDist:
@@ -625,8 +632,8 @@ def neighbor_degree_dist(params: ModelParams, k: int) -> NeighborDist:
 
     P(ell | k) = sum_theta P(theta | k) sum_phi P(ell, phi | k, theta).
     The resolved support covers ``LAW_CELLS`` degrees from ``beta``; the
-    remaining mass decays as ``ell**-(2 + mu/beta)``, and its model is
-    pinned to the law's exact mass and first moment
+    remaining mass decays as ``ell**-(2 + mu/beta)`` with the closed-form
+    amplitude, and its model holds the law's exact mass and first moment
     (``neighbor_degree_first_moment``), so ``tail_mass`` is exactly 1
     less the resolved sum.  The mean is defined over the capped support
     ``[beta, DEFAULT_ELL_CAP]``.
@@ -671,7 +678,9 @@ def write_nn_table(
     """Dump P(ell, phi | k, theta) as CSV rows in ascending (ell, phi).
 
     Format: comment lines ``# beta=…``, ``# k=…``, ``# theta=…``,
-    ``# tail_mass=…`` followed by the header ``ell,phi,prob``.
+    ``# tail_mass=…`` followed by the header ``ell,phi,prob``.  The law
+    of (ell, phi) sums to 1 exactly, so ``tail_mass``, the mass of the
+    rows not dumped, is 1 less the dumped probabilities (at least 0).
 
     Raises
     ------
@@ -697,17 +706,11 @@ def write_nn_table(
     )
     while march.k < k:
         march.advance()
-    lvl = march.level()
-    g = params.mu_over_beta
     n_s = len(support)
-    block = lvl.probs.reshape(n_s, n_s, -1)[ti]  # [phi, ell]
+    block = march.level().probs.reshape(n_s, n_s, -1)[ti]  # [phi, ell]
     ells = march.ells
     keep = ells <= l_max
-    # mass beyond the dumped rows: resolved-but-not-dumped plus the model tail
-    coef_theta = lvl.tail_coef.reshape(n_s, n_s, 3)[ti].sum(axis=0)
-    tail_dump = float(block[:, ~keep].sum()) + float(
-        tail_power_sum(coef_theta, 2.0 + g, int(ells[-1]))[0]
-    )
+    tail_dump = max(1.0 - float(block[:, keep].sum()), 0.0)
     fh.write(f"# beta={beta}\n")
     fh.write(f"# k={k}\n")
     fh.write(f"# theta={theta}\n")

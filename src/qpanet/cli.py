@@ -129,16 +129,11 @@ def _default_threads() -> int:
 
 
 def cmd_sweep(args) -> int:
-    family = args.family
+    family, spec = _quality_from_args(args)
+    grid = _parse_grid(spec)
     if family == "bernoulli":
-        if args.p is None:
-            raise DomainError("bernoulli family requires --p")
-        grid = _parse_grid(args.p)
         bad = [x for x in grid if not (0.0 <= x <= 1.0)]
     else:
-        if args.q is None:
-            raise DomainError("exponential family requires --q")
-        grid = _parse_grid(args.q)
         bad = [x for x in grid if not (x > 0.0)]
     if bad:
         raise DomainError(f"{family} parameter out of domain: {bad[0]}")

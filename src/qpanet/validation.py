@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, measures, simulate
+from ._engine import power_tail_fit, tail_power_sum
 from .analytic import ModelParams, build_joint_table
 from .quality import make_bernoulli, make_custom, make_exponential, make_family
 
@@ -100,33 +101,48 @@ def check_ba_reduction() -> Check:
     return _check("pure-degree reduction", worst, 1e-10)
 
 
-def probe_level_masses(params):
-    """Yield (k, mass) at each degree of NN_SAMPLE_POINTS, where
-    mass[theta, phi] = sum_ell P(ell, phi | k, theta), tails included,
-    over the support (``analytic.quality_q_level``)."""
+def probe_held_out(params):
+    """Yield (k, residual) at each degree of NN_SAMPLE_POINTS.
+
+    The march resolves ``2 * LAW_CELLS`` cells.  Per (theta, phi) pair,
+    the tail model of the first ``LAW_CELLS`` cells (the closed-form
+    amplitude and the pair's exact mass, ``analytic.quality_q_level``)
+    predicts the mass of the next ``LAW_CELLS``; residual[theta, phi] is
+    that prediction less the resolved mass of those held-out cells.
+    """
     probe_ks = {k for k, _ in NN_SAMPLE_POINTS(params)}
     deepest = max(probe_ks)
     n_s = len(params.quality.support)
-    march = analytic.NeighborMarch(params, l_resolve=analytic.LAW_CELLS, k_hint=deepest)
+    n = analytic.LAW_CELLS
+    s = 2.0 + params.mu_over_beta
+    march = analytic.NeighborMarch(params, l_resolve=2 * n, k_hint=deepest)
+    ells = march.ells
     while True:
-        lvl = march.level()
-        if lvl.k in probe_ks:
-            yield lvl.k, analytic.quality_q_level(march, lvl).reshape(n_s, n_s)
-        if lvl.k >= deepest:
+        if march.k in probe_ks:
+            probs = march.level().probs
+            coef = power_tail_fit(
+                probs[:, :n], ells[:n], s, march.tail_amplitude(), analytic.quality_q_level(march)
+            )
+            predicted = tail_power_sum(coef, s, int(ells[n - 1]), int(ells[-1]))
+            yield march.k, (predicted - probs[:, n:].sum(axis=1)).reshape(n_s, n_s)
+        if march.k >= deepest:
             return
         march.advance()
 
 
 def check_nn_normalization() -> Check:
+    """Per probe (k, theta), the tail model of a ``LAW_CELLS`` grid, which
+    holds the law's exact mass, predicts the resolved mass of the next
+    ``LAW_CELLS`` cells (``probe_held_out``)."""
     worst = 0.0
     count = 0
     for params, *_ in NORMALIZATION_GRID():
         support = [int(t) for t in params.quality.support]
         probes = NN_SAMPLE_POINTS(params)
-        for k, mass in probe_level_masses(params):
+        for k, residual in probe_held_out(params):
             for pk, pt in probes:
                 if pk == k:
-                    worst = max(worst, abs(float(mass[support.index(pt)].sum()) - 1.0))
+                    worst = max(worst, abs(float(residual[support.index(pt)].sum())))
                     count += 1
     return _check("neighbor conditional normalization", worst, 1e-6, count=count)
 

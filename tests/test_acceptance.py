@@ -59,7 +59,7 @@ def test_criterion_03_neighbor_conditional_normalization():
         3,
         "neighbor conditional normalization",
         ok,
-        f"{check.count} probes, max |sum + tail - 1| = {worst:.2e}",
+        f"{check.count} probes, max |held-out mass - tail model| = {worst:.2e}",
     )
     assert ok
 

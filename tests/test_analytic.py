@@ -11,7 +11,7 @@ from qpanet import validation
 from qpanet._engine import (
     _BLOCK,
     NeighborMarch,
-    _tail_fit,
+    power_tail_fit,
     tail_power_sum,
 )
 from qpanet.analytic import (
@@ -118,6 +118,28 @@ def _joint_mpmath(params, k, theta):
         row = mpmath.exp(ln_common + mpmath.log(2 + g) + mpmath.loggamma(k + theta))
         tail = mpmath.exp(ln_common + mpmath.loggamma(k + 1 + theta))
     return row, tail
+
+
+class TestPureDegreeReduction:
+    @settings(max_examples=25, deadline=None)
+    @given(beta=st.integers(1, 64))
+    def test_joint_rows_and_tail_amplitude(self, beta):
+        # all-zero quality: P(k) = 2 beta (beta+1) / (k (k+1) (k+2)) over the
+        # whole joint block, and the neighbor law's tail amplitude c0 reduces
+        # to beta (k+2)/k
+        params = ba_params(beta)
+        ks = np.arange(beta, beta + 1024, dtype=float)
+        closed = 2.0 * beta * (beta + 1) / (ks * (ks + 1) * (ks + 2))
+        got = _joint_rows(params, beta, beta + 1023)[:, 0]
+        rtol = 8 * np.finfo(float).eps * np.array([math.lgamma(k + 3) for k in ks])
+        assert np.all(np.abs(got - closed) <= rtol * closed)
+        march = NeighborMarch(params, l_resolve=64, k_hint=beta + 40)
+        while True:
+            k = march.k
+            assert march.tail_amplitude() == pytest.approx([beta * (k + 2) / k], rel=1e-12)
+            if k == beta + 40:
+                break
+            march.advance()
 
 
 class TestJointTable:
@@ -268,16 +290,26 @@ class TestMarchAgainstDirect:
         assert worst < 1e-12
 
     def test_level_normalization_with_tail(self):
+        # the tail model of the first 1024 cells, built from the closed-form
+        # amplitude and the exact pair mass (beta/k) pi(phi) + (1 - beta/k)
+        # rho(phi), must predict the resolved mass of the next 1024 cells
         params = ModelParams(beta=3, quality=make_exponential(1.5, 3))
-        march = NeighborMarch(params, l_resolve=1024, k_hint=11)
+        march = NeighborMarch(params, l_resolve=2048, k_hint=11)
         while march.k < 11:
             march.advance()
-        lvl = march.level()
-        n_s = 4
+        probs = march.level().probs
+        n, n_s, s = 1024, 4, 2.0 + params.mu_over_beta
+        rho = params.quality.probs
+        pi = rho * (3 + np.arange(n_s)) / (3 + params.quality.mean)
+        mass = np.tile((3 / 11) * pi + (1 - 3 / 11) * rho, n_s)
+        coef = power_tail_fit(probs[:, :n], march.ells[:n], s, march.tail_amplitude(), mass)
+        predicted = tail_power_sum(coef, s, int(march.ells[n - 1]), int(march.ells[-1]))
+        held_out = probs[:, n:].sum(axis=1)
+        # every pair's held-out mass exceeds the bound: the check is not vacuous
+        assert np.all(held_out > 1e-6)
         for ti in range(n_s):
-            mass = lvl.probs.reshape(n_s, n_s, -1)[ti].sum()
-            tail = march.tail_mass(lvl).reshape(n_s, n_s)[ti].sum()
-            assert mass + tail == pytest.approx(1.0, abs=1e-6)
+            residual = (predicted - held_out).reshape(n_s, n_s)[ti].sum()
+            assert abs(residual) < 1e-6
 
 
 def _scan_depth(params, joint):
@@ -309,20 +341,6 @@ def _block_edges(march):
     return sorted(set(firsts.tolist()) | set(lasts.tolist()))
 
 
-def _tail_model(coef, ells, s):
-    """The fitted tail model on the fit window, its mass and its capped mean."""
-    window = ells[ells.size // 2 :].astype(float)
-    values = sum(coef[:, r : r + 1] * window ** -(s + r) for r in range(3))
-    l_end = int(ells[-1])
-    return np.concatenate(
-        (
-            values.ravel(),
-            tail_power_sum(coef, s, l_end),
-            tail_power_sum(coef, s - 1.0, l_end, 10**4),
-        )
-    )
-
-
 CONTRACTION_CASES = [
     (2, make_exponential(0.5, 4)),
     (5, make_custom([0.5, 0, 0, 0, 0, 0.5])),
@@ -342,7 +360,6 @@ class TestContractedDegreeRow:
         n_s = len(support)
         s = 2.0 + params.mu_over_beta
         march = NeighborMarch(params, l_resolve=1024, k_hint=depth)
-        fallbacks = 0
         while True:
             w = joint.p_theta_given_k(march.k)[support]
             row, coef = march.degree_row(w)
@@ -352,23 +369,16 @@ class TestContractedDegreeRow:
             nz = want > 0.0
             rel = np.abs(row - want)[nz] / want[nz]
             assert np.all(rel < _prefactor_rtol(march)[nz]), (march.k, rel.max())
-            # without fallback rows the fit is linear in the data, so the
-            # contracted row's tail model is the contraction of the per-pair
-            # models; the three coefficients themselves are ill-conditioned
-            # (normal equations on 1, 1/ell, 1/ell**2 over [L/2, L]), so the
-            # models are compared, not the coefficients
-            fallbacks += int(_tail_fit(lvl.probs, march.ells, s)[1].sum())
-            contracted = (np.repeat(w, n_s) @ lvl.tail_coef)[None, :]
-            got_model = _tail_model(coef, march.ells, s)
-            want_model = _tail_model(contracted, march.ells, s)
-            np.testing.assert_allclose(
-                got_model, want_model, rtol=_prefactor_rtol(march)[-1], atol=0.0
-            )
+            # the row's amplitude is the contraction of the per-pair ones,
+            # and its model carries the rest of the row's exact mass
+            c0 = np.repeat(w, n_s) @ march.tail_amplitude()
+            assert coef[0, 0] == pytest.approx(c0, rel=1e-14)
+            tail = tail_power_sum(coef, s, int(march.ells[-1]))[0]
+            assert row.sum() + tail == pytest.approx(w.sum(), abs=1e-13)
             if march.k >= depth:
                 break
             march.advance()
             self._assert_rows_nondecreasing(march)
-        assert fallbacks == 0
 
     @staticmethod
     def _assert_rows_nondecreasing(march):
@@ -592,17 +602,13 @@ class TestQualityLaw:
     def test_march_mass_matches_exact_law(self):
         # sum_ell P(ell, phi | k, theta) = (beta/k) pi(phi) + (1 - beta/k) rho(phi),
         # pi(phi) = rho(phi) (beta + phi)/(beta + mu): at criterion 03's probe
-        # levels the march's resolved mass plus fitted tails must reach it
+        # levels, every pair's tail model built on that mass must predict the
+        # resolved mass of the held-out cells
         worst = 0.0
         levels = 0
         for params, *_ in validation.NORMALIZATION_GRID():
-            beta = params.beta
-            support = params.quality.support
-            rho = params.quality.probs[support]
-            pi = rho * (beta + support) / (beta + params.quality.mean)
-            for k, mass in validation.probe_level_masses(params):
-                exact = (beta / k) * pi + (1.0 - beta / k) * rho
-                worst = max(worst, float(np.max(np.abs(mass - exact[None, :]))))
+            for _, residual in validation.probe_held_out(params):
+                worst = max(worst, float(np.max(np.abs(residual))))
                 levels += 1
         assert levels == 108
         assert worst < 1e-6
@@ -726,8 +732,9 @@ class TestNeighborDegreeDist:
             neighbor_degree_dist(params, 1024)
 
     def test_tail_model_out_of_float_range_raises(self):
-        # at g = 125 the tail amplitude row * ell**(2 + g) overflows; the
-        # degree statistics must refuse it rather than index past the grid
+        # at g = 125 the tail amplitude c0 overflows and its sums past the
+        # grid underflow; the degree statistics must refuse the model rather
+        # than index past the grid
         from qpanet.errors import NonConvergenceError
 
         from qpanet.analytic import _joint_rows
@@ -764,6 +771,17 @@ class TestNnTableDump:
         tail = float(lines[3].split("=")[1])
         total = sum(float(ln.split(",")[2]) for ln in lines[5:])
         assert total + tail == pytest.approx(1.0, abs=1e-6)
+
+    def test_normalized_far_past_the_grid(self):
+        # k = 4000, far past the 2048-cell grid: an unpinned per-pair tail fit
+        # on [L/2, L] missed the mass by 2.6e-3
+        params = ModelParams(beta=2, quality=make_exponential(1.5, 16))
+        buf = io.StringIO()
+        write_nn_table(params, 4000, 8, buf)
+        lines = buf.getvalue().splitlines()
+        tail = float(lines[3].split("=")[1])
+        total = sum(float(ln.split(",")[2]) for ln in lines[5:])
+        assert abs(total + tail - 1.0) < 1e-6
 
 
 class TestJointCache:
@@ -810,8 +828,9 @@ class TestJointCache:
 def _march_first_moments(params, l_resolve, k_top):
     """E[ell | k] for k = beta..k_top from full march levels.
 
-    The resolved sum of ell P plus each pair's fitted (unpinned) tail
-    model to infinity, weighted by P(theta | k).
+    The resolved sum of ell P plus each pair's leading tail term,
+    c0 ell**-(2 + g) with the closed-form amplitude, to infinity,
+    weighted by P(theta | k).
     """
     from scipy.special import zeta
 
@@ -819,12 +838,12 @@ def _march_first_moments(params, l_resolve, k_top):
     support = [int(t) for t in params.quality.support]
     s = 2.0 + params.mu_over_beta
     march = NeighborMarch(params, l_resolve=l_resolve, k_hint=k_top)
-    z = np.array([zeta(s + r - 1.0, int(march.ells[-1]) + 1) for r in range(3)])
+    z = zeta(s - 1.0, int(march.ells[-1]) + 1)
     out = []
     while True:
         lvl = march.level()
         w = np.repeat(joint.p_theta_given_k(march.k)[support], len(support))
-        out.append(w @ (lvl.probs @ march.ells + lvl.tail_coef @ z))
+        out.append(w @ (lvl.probs @ march.ells + march.tail_amplitude() * z))
         if march.k == k_top:
             return np.array(out)
         march.advance()
@@ -838,8 +857,9 @@ def _moment_gap(params, l_resolve, k_top=40):
 
 class TestNeighborDegreeFirstMoment:
     def test_matches_march_at_large_g(self):
-        # g = 7: the fitted tail of a 4096-cell grid is exact to rounding,
-        # so the recurrence must meet the march there (measured 9.5e-14)
+        # g = 7: the leading tail term of a 4096-cell grid is exact to
+        # rounding, so the recurrence must meet the march there (measured
+        # 1.0e-13)
         params = ModelParams(beta=2, quality=make_exponential(1.5, 16))
         assert params.mu_over_beta == pytest.approx(7.0, abs=0.01)
         assert _moment_gap(params, 4096) < 5e-13
@@ -849,8 +869,8 @@ class TestNeighborDegreeFirstMoment:
         [(1, make_custom([0.5, 0, 0, 0, 0.5]), 2.0), (2, make_exponential(0.5, 4), 0.419)],
     )
     def test_march_gap_shrinks_with_grid(self, beta, pmf, g):
-        # at small g the march's fitted tail carries the gap: doubling the
-        # grid must shrink it, towards the recurrence
+        # at small g the march's leading tail term carries the gap: doubling
+        # the grid must shrink it, towards the recurrence
         params = ModelParams(beta=beta, quality=pmf)
         assert params.mu_over_beta == pytest.approx(g, abs=1e-3)
         gaps = [_moment_gap(params, n) for n in (1024, 2048)]
@@ -964,13 +984,18 @@ class TestPinnedDegreeRow:
             (8, make_exponential(0.3, 4)),
             (8, make_exponential(0.1, 4)),
             (2, make_exponential(1.5, 16)),
+            (2, make_bernoulli(1.0, 8)),
+            (8, make_bernoulli(1.0, 4)),
         ],
     )
     def test_scan_grid_resolves_capped_mean(self, beta, pmf):
         # the capped mean the scan decides on, from its pinned rows, against
         # a march whose grid reaches the cap and needs no tail at all.  At
-        # g = 0.014 the 512-cell grid is 9.6e-4 off; 256 cells were 2.3e-2
-        # off, so this fails if the scan's grid is narrowed
+        # g = 0.014 the 512-cell grid is 3.8e-6 off with the amplitude c0
+        # pinned (9.6e-4 with c0 fitted).  At g = 0 there is no moment to
+        # pin, and the model meets the last resolved cell instead: 9.1e-4
+        # and 9.8e-5 off (6.0e-3 and 6.3e-3 with c0 fitted, 7.2e-3 at
+        # beta 2 with c0 pinned and c2 = 0)
         from qpanet.analytic import DegreeProfile
         from qpanet.measures import SCAN_CELLS
 

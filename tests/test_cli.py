@@ -80,6 +80,25 @@ class TestSweepCommand:
             assert stdout == "", (flag, value)
             assert not out.exists(), (flag, value)
 
+    @pytest.mark.parametrize(
+        "family, flags, other",
+        [("bernoulli", ["--p", "0.5", "--q", "0.5"], "--q"),
+         ("exponential", ["--q", "0.5", "--p", "0.5"], "--p")],
+    )
+    def test_other_family_flag_exits_2(self, tmp_path, capsys, family, flags, other):
+        # a flag of the other family is refused, as by simulate and nn-table,
+        # not accepted and ignored
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(
+            ["sweep", "--family", family, *flags, "--beta", "2", "--theta-max", "4"]
+            + ["-o", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert f"{other} is not valid with the {family} family" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_tail_overflow_exits_3(self, tmp_path, capsys):
         # g = mu/beta = 125: the degree row's tail amplitude leaves float
         # range, so the grid point fails with the reason and the command
