@@ -39,11 +39,11 @@ __all__ = [
 _TIE_EPS = 1e-9
 SCAN_FAIL_RUN = 25
 SCAN_CAP_DEFAULT = 512
-# resolved neighbor degrees of the degree scan.  Each row's tail model has
-# the closed-form amplitude and holds the row's exact mass and first moment
-# (at g = 0, its last cell): capped means within 1e-3 of a grid that reaches
-# the cap, at g = 0 (9.1e-4) and g = 0.014 (3.8e-6)
-SCAN_CELLS = 512
+# resolved neighbor degrees of the degree scan at g > 0, where each row's
+# tail model has the closed-form amplitude and holds the row's exact mass
+# and first moment: capped means within 1.6e-4 of a grid that reaches the
+# cap on the tested models.  At g = 0 the moment is infinite (scan_cells)
+SCAN_CELLS = 256
 
 
 class ScanEdgeWarning(UserWarning):
@@ -96,6 +96,15 @@ def _largest_below(values, bound, eps=_TIE_EPS):
     """Largest element of ``values`` strictly below ``bound`` (ties fail)."""
     qualifying = [int(v) for v in values if v < bound - eps]
     return max(qualifying) if qualifying else None
+
+
+def scan_cells(params: ModelParams) -> int:
+    """Resolved neighbor degrees of the degree scan for ``params``.
+
+    ``SCAN_CELLS`` when g = mu/beta > 0; at g = 0 the tail holds only its
+    mass and last cell, so the scan runs on the rerun grid, 4 * SCAN_CELLS.
+    """
+    return SCAN_CELLS if params.mu_over_beta > 0 else 4 * SCAN_CELLS
 
 
 def _run_paradox_march(
@@ -154,15 +163,16 @@ def critical_values(
     The quality side is decided from the exact neighbor-quality law.
     The degree scan is a heuristic with a documented cap: a warning is
     emitted (and recorded in ``notes``) if the inequality still holds at
-    the scan edge.  The scan resolves ``SCAN_CELLS`` neighbor degrees; a
-    mean within 2e-2 of its degree anywhere on the scan re-decides the
-    degree criticals on ``4 * SCAN_CELLS``, also noted.
+    the scan edge.  The scan resolves ``scan_cells(params)`` neighbor
+    degrees; a mean within 2e-2 of its degree on a ``SCAN_CELLS`` scan
+    re-decides the degree criticals on ``4 * SCAN_CELLS``, also noted.
     """
     if joint is None:
         joint = analytic._cached_joint(params)
-    profile, notes = _run_paradox_march(params, joint, SCAN_CELLS, scan_cap)
+    cells = scan_cells(params)
+    profile, notes = _run_paradox_march(params, joint, cells, scan_cap)
     margin = min(abs(m - k) for k, m in zip(profile.ks, profile.means))
-    if margin < 2e-2:
+    if cells == SCAN_CELLS and margin < 2e-2:
         profile, notes = _run_paradox_march(params, joint, 4 * SCAN_CELLS, scan_cap)
         notes += (
             f"near tie: mean margin {margin:.2e} on the {SCAN_CELLS}-cell scan,"

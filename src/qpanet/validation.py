@@ -73,7 +73,7 @@ class Check:
 
 def _check(name, residual, bound, extra="", count=None) -> Check:
     passed = residual < bound
-    detail = f"residual {residual:.3g} < {bound:g}{extra}"
+    detail = f"residual {residual:.3g} {'<' if passed else '>='} {bound:g}{extra}"
     return Check(name=name, passed=passed, detail=detail, residual=residual, count=count)
 
 

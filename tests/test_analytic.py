@@ -943,16 +943,17 @@ class TestPinnedDegreeRow:
     def test_mass_identity_at_every_level(self, beta, pmf, grid):
         # sum_ell P(ell | k) = sum_theta P(theta | k) sum_phi [(beta/k) pi(phi)
         # + (1 - beta/k) rho(phi)] = 1 at every level a scan may read (to its
-        # cap), on the scan's grid and on neighbor_degree_dist's; an unpinned
-        # tail on 1024 cells missed it by 1.5e-6 on the sparse support at
-        # k <= 76, and by up to 1.7e-4 before the cap
+        # cap), on the scan's grid (256 cells here) and on
+        # neighbor_degree_dist's; both read 2.2e-16.  An unpinned tail on
+        # 1024 cells missed it by 1.5e-6 on the sparse support at k <= 76,
+        # and by up to 1.7e-4 before the cap
         from qpanet.analytic import LAW_CELLS, DegreeProfile
-        from qpanet.measures import SCAN_CAP_DEFAULT, SCAN_CELLS
+        from qpanet.measures import SCAN_CAP_DEFAULT, scan_cells
 
         params = ModelParams(beta=beta, quality=pmf)
         joint = build_joint_table(params)
         depth = beta + SCAN_CAP_DEFAULT
-        n_ell = SCAN_CELLS if grid == "scan" else LAW_CELLS
+        n_ell = scan_cells(params) if grid == "scan" else LAW_CELLS
         march = NeighborMarch(params, l_resolve=n_ell, k_hint=depth)
         profile = DegreeProfile(params, joint)
         worst = 0.0
@@ -986,24 +987,28 @@ class TestPinnedDegreeRow:
             (2, make_exponential(1.5, 16)),
             (2, make_bernoulli(1.0, 8)),
             (8, make_bernoulli(1.0, 4)),
+            (1, make_bernoulli(1.0, 4)),
+            (4, make_bernoulli(1.0, 4)),
         ],
     )
     def test_scan_grid_resolves_capped_mean(self, beta, pmf):
         # the capped mean the scan decides on, from its pinned rows, against
         # a march whose grid reaches the cap and needs no tail at all.  At
-        # g = 0.014 the 512-cell grid is 3.8e-6 off with the amplitude c0
-        # pinned (9.6e-4 with c0 fitted).  At g = 0 there is no moment to
-        # pin, and the model meets the last resolved cell instead: 9.1e-4
-        # and 9.8e-5 off (6.0e-3 and 6.3e-3 with c0 fitted, 7.2e-3 at
-        # beta 2 with c0 pinned and c2 = 0)
+        # g > 0 the scan's 256 cells read 4.7e-5, 1.6e-5, 1.5e-4, 1.6e-4 and
+        # 1.2e-12 in the order listed (3.8e-6 at g = 0.014 on 512 cells,
+        # 9.6e-4 there with c0 fitted).  At g = 0 there is no moment to pin,
+        # and the model meets the last resolved cell instead, which 256
+        # cells do not resolve (4.0e-3 to 1.2e-2) nor 512 (2.1e-3 at beta 1,
+        # 1.4e-3 at beta 4), so the scan runs on 1024: 2.2e-4, 4.6e-7,
+        # 2.3e-4 and 6.8e-5
         from qpanet.analytic import DegreeProfile
-        from qpanet.measures import SCAN_CELLS
+        from qpanet.measures import scan_cells
 
         params = ModelParams(beta=beta, quality=pmf)
         joint = build_joint_table(params)
         support = [int(t) for t in pmf.support]
         k_top = 70
-        scan = NeighborMarch(params, l_resolve=SCAN_CELLS, k_hint=k_top)
+        scan = NeighborMarch(params, l_resolve=scan_cells(params), k_hint=k_top)
         full = NeighborMarch(params, l_resolve=DEFAULT_ELL_CAP - beta + 1, k_hint=k_top)
         assert full.ells[-1] == DEFAULT_ELL_CAP
         profile = DegreeProfile(params, joint)

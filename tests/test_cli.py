@@ -2,8 +2,11 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qpanet.cli import main
+from qpanet.measures import SCAN_CELLS
 
 
 def run(argv, capsys):
@@ -122,7 +125,7 @@ class TestSweepCommand:
             capsys,
         )
         assert code == 3
-        assert "NonConvergenceError" in err and "512-cell grid" in err
+        assert "NonConvergenceError" in err and f"{SCAN_CELLS}-cell grid" in err
 
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(["sweep", "--bogus", "1"], capsys)
@@ -190,7 +193,9 @@ class TestSweepCommand:
         row = json.loads(out.read_text())["rows"][0]
         (note,) = row["qpa"]["notes"]
         assert note.startswith("near tie: mean margin ")
-        assert note.endswith("on the 512-cell scan, re-decided on 2048 cells")
+        assert note.endswith(
+            f"on the {SCAN_CELLS}-cell scan, re-decided on {4 * SCAN_CELLS} cells"
+        )
         assert row["uncorrelated"]["notes"] == []
 
 
@@ -258,6 +263,31 @@ class TestSimulateCommand:
         assert run(args + ["-o", str(b), "--emit-edges", str(eb)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
         assert ea.read_bytes() == eb.read_bytes()
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        beta=st.integers(1, 4),
+        family=st.sampled_from(["bernoulli", "exponential"]),
+        x=st.floats(0.05, 1.0),
+        theta_max=st.integers(1, 16),
+        n=st.integers(6, 2000),
+    )
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_same_seed_json_is_byte_identical(
+        self, seed, beta, family, x, theta_max, n, capsys
+    ):
+        flag = "--p" if family == "bernoulli" else "--q"
+        args = ["simulate", "--n", str(n), "--beta", str(beta), "--family", family]
+        args += [flag, repr(x), "--theta-max", str(theta_max), "--seed", str(seed)]
+        # stderr carries the wall time, so only the report is compared
+        code, first, _ = run(args, capsys)
+        assert code == 0
+        assert json.loads(first)["seeds"] == [seed]
+        assert run(args, capsys)[:2] == (0, first)
 
     def test_ingestion_triangle(self, tmp_path, capsys):
         ep = tmp_path / "e.txt"

@@ -6,10 +6,12 @@ import pytest
 from qpanet.analytic import ModelParams, build_joint_table
 from qpanet.errors import DomainError
 from qpanet.measures import (
+    SCAN_CELLS,
     SWEEP_CSV_HEADER,
     Criticals,
     critical_values,
     paradox_fractions,
+    scan_cells,
     sweep,
     uncorrelated_criticals,
     write_sweep_csv,
@@ -55,6 +57,15 @@ class TestCriticalValues:
         c = critical_values(params)
         assert c.degree_mean is not None and c.degree_mean >= 16
         assert c.degree_median is not None and c.degree_median >= 16
+
+    @pytest.mark.parametrize("beta, k_mean", [(128, 557), (160, 661)])
+    def test_all_zero_quality_scans_on_the_rerun_grid(self, beta, k_mean):
+        # at g = 0 the row's first moment is infinite, so its tail holds only
+        # the mass and the last cell; 512 cells read 558 and 662, while 1024,
+        # 2048 and 8192 cells agree on these values
+        params = ModelParams(beta=beta, quality=make_bernoulli(1.0, 4))
+        assert scan_cells(params) == 4 * SCAN_CELLS
+        assert critical_values(params).degree_mean == k_mean
 
     def test_strictness(self, exp_small):
         # the defining inequality holds at the critical value and fails

@@ -9,6 +9,14 @@ def test_quick_checks_all_pass():
         assert c.passed, f"{c.name}: {c.detail}"
 
 
+def test_failing_check_does_not_claim_the_bound():
+    # a failing criterion must not print as "residual 2 < 1: FAIL"
+    failed = validation._check("x", 2.0, 1.0)
+    assert not failed.passed
+    assert "<" not in failed.detail and "residual 2 >= 1" in failed.detail
+    assert validation._check("x", 0.5, 1.0).detail == "residual 0.5 < 1"
+
+
 def test_edge_balance_residuals_are_diagnostic_only():
     # edge_balance_residuals only reports both sides of the balance;
     # check_edge_balance is what asserts them (test_edge_balance_is_exact)
