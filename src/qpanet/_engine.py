@@ -18,14 +18,17 @@ distribution for every ell at once.
 
 Values along a row span hundreds of orders of magnitude, so the ell
 axis is cut into equal blocks of ``_BLOCK`` cells, each held in linear
-float64 against one exponent offset per (row, block).  A step is one
-``np.cumsum`` within the blocks, after each block's first cell gains
-the log-sum of the totals of the blocks before it:
-``np.logaddexp.accumulate``, an order of magnitude slower than
-``np.cumsum``, only ever sees one value per (row, block).
+float64 against one exponent offset per (block, row).  The state is
+cell-major, ``[_BLOCK, blocks, rows]``: cell i of every (block, row) is
+one contiguous slab.  A step first adds to each block's first cell the
+log-sum of the totals of the blocks before it (``np.logaddexp.accumulate``,
+an order of magnitude slower than a plain add, only ever sees one value
+per (block, row)); the prefix sum within the blocks is then ``_BLOCK - 1``
+slab adds, cell i += cell i - 1, whole and contiguous, in the order a
+running sum takes.
 
-Both readers scale the state the same way: one log scale per (row,
-block), the offset plus the log prefactor at the block's last cell,
+Both readers scale the state the same way: one log scale per (block,
+row), the offset plus the log prefactor at the block's last cell,
 times each cell's prefactor ratio to that cell, carried from level to
 level by rational factors.  ``level()`` assembles the full table;
 ``degree_row(w)``, all the degree scan reads, contracts the pairs with
@@ -59,16 +62,20 @@ _BLOCK = 32
 class _ScaledRows:
     """Rows of non-negative values in equal blocks, one exponent offset each.
 
-    True value of cell b * _BLOCK + i = vals[p, b, i] * exp(off[p, b]).
-    Rows here are running states of the lattice recurrence:
+    Held cell-major: true value of cell b * _BLOCK + i of row p is
+    vals[i, b, p] * exp(off[b, p]), vals C-contiguous as [_BLOCK, blocks,
+    n_rows], so one cell position of every (block, row) is one contiguous
+    slab.  Rows here are running states of the lattice recurrence:
     nondecreasing along the row, so a block's maximum is its last entry.
     """
 
     def __init__(self, log_init: np.ndarray):
-        seg = log_init.reshape(log_init.shape[0], -1, _BLOCK)
-        m = seg.max(axis=2)
+        # [n_rows, n_cells] -> [_BLOCK, blocks, n_rows]; copied to C order
+        # before the exp, which would otherwise keep the transposed layout
+        seg = log_init.reshape(log_init.shape[0], -1, _BLOCK).transpose(2, 1, 0)
+        m = seg.max(axis=0)
         self.off = np.where(np.isfinite(m), m, 0.0)
-        vals = seg - self.off[:, :, None]
+        vals = np.ascontiguousarray(seg - self.off)
         self.vals = np.exp(vals, out=vals)
 
     def advance(self, seed_log: np.ndarray) -> None:
@@ -77,27 +84,29 @@ class _ScaledRows:
         Replaces entry 0 with ``exp(seed_log)`` (zero where it is
         ``-inf``) and takes a running cumulative sum along the row: each
         block's first entry gains the total of the blocks before it, then
-        one ``cumsum`` runs within every block.
+        each cell position adds the one before it, one whole slab at a
+        time, left to right as a prefix sum would.
         """
         vals, off = self.vals, self.off
-        vals[:, 0, 0] = np.exp(seed_log - off[:, 0])
+        vals[0, 0] = np.exp(seed_log - off[0])
         with np.errstate(divide="ignore"):
-            ln_total = np.log(np.einsum("pbi->pb", vals[:, :-1])) + off[:, :-1]
-        carry = np.logaddexp.accumulate(ln_total, axis=1)
-        vals[:, 1:, 0] += np.exp(carry - off[:, 1:])
-        np.cumsum(vals, axis=2, out=vals)
-        top = vals[:, :, -1]
+            ln_total = np.log(vals[:, :-1].sum(axis=0)) + off[:-1]
+        carry = np.logaddexp.accumulate(ln_total, axis=0)
+        vals[0, 1:] += np.exp(carry - off[1:])
+        for i in range(1, _BLOCK):
+            np.add(vals[i], vals[i - 1], out=vals[i])
+        top = vals[-1]
         big = top > _RENORM_THRESHOLD
         if np.any(big):
             scale = top[big]
-            vals[big] /= scale[:, None]
+            vals[:, big] /= scale
             off[big] += np.log(scale)
 
     def log_values(self) -> np.ndarray:
         """Log of the true values (``-inf`` where zero), one row per pair."""
         with np.errstate(divide="ignore"):
-            logs = np.log(self.vals) + self.off[:, :, None]
-        return logs.reshape(logs.shape[0], -1)
+            logs = np.log(self.vals) + self.off
+        return logs.transpose(2, 1, 0).reshape(logs.shape[2], -1)
 
 
 @dataclass
@@ -118,17 +127,19 @@ class NeighborMarch:
     ``tail_amplitude()`` gives in closed form per pair.
 
     The state is one j-sum table, the sum of the two j-sums of the
-    closed form, held as ``[n_pairs, blocks, _BLOCK]`` cells: the grid
-    padded to whole blocks, the padding trimmed on read.  Both readers
-    scale it by one log scale per (pair, block) and the carried
+    closed form, held cell-major as ``[_BLOCK, blocks, n_pairs]``: the
+    grid padded to whole blocks, the padding trimmed on read.  Both
+    readers scale it by one log scale per (block, pair) and the carried
     prefactor ratio per cell: ``level()`` assembles the resolved cells
     of the full table, with no tail; ``degree_row(w)`` contracts the
     pairs with per-theta weights before any cell is materialized and
     adds that one row's tail model (``power_tail_fit``).  A read that
-    leaves float range raises ``NonConvergenceError``.
+    leaves float range raises ``NonConvergenceError``.  The weights and
+    gamma lattices cover the grid at first and double whenever
+    ``advance`` passes their end.
     """
 
-    def __init__(self, params, l_resolve: int, k_hint: int = 0):
+    def __init__(self, params, l_resolve: int):
         beta = params.beta
         g = params.mu_over_beta
         support = [int(t) for t in params.quality.support]
@@ -143,30 +154,20 @@ class NeighborMarch:
         self.ells = beta + np.arange(self.n_ell)
         self.k = beta
         n_pad = -(-self.n_ell // _BLOCK) * _BLOCK
-        # the grid padded to whole blocks, as [blocks, _BLOCK]
-        ell_blocks = (beta + np.arange(n_pad)).reshape(-1, _BLOCK)
-
-        tmax = params.quality.theta_max
-        # ordered-pair weights reach j = beta + j_count; marching is allowed
-        # up to that focal degree
-        self._j_count = max(n_pad, int(k_hint) - beta + 8)
-        # gamma lattices: frac[m] = lnGamma(m + 2 + g), integer[m] = lnGamma(m)
-        j_top = self._j_count + beta + 1
-        m_top = j_top + n_pad + beta + 4 * tmax + 16
-        self._glf = _ln_gamma_raw(np.arange(m_top, dtype=float) + 2.0 + g)
-        self._gli = np.concatenate(
-            ([np.inf], _ln_gamma_raw(np.arange(1, m_top, dtype=float)))
-        )
+        self._n_pad = n_pad
+        # the grid padded to whole blocks, cell-major as [_BLOCK, blocks]
+        ell_cells = (beta + np.arange(n_pad)).reshape(-1, _BLOCK).T
 
         theta_arr = np.array([t for (t, _) in self.pairs])
         phi_arr = np.array([f for (_, f) in self.pairs])
-        j = beta + 1 + np.arange(self._j_count)
-        lnw = (
-            self._glf[j[None, :] + (theta_arr + beta + phi_arr)[:, None]]
-            - self._glf[j[None, :] + theta_arr[:, None]]
-            - self._glf[beta + phi_arr][:, None]
-        )
-        self._ln_cumw = np.logaddexp.accumulate(lnw, axis=1)
+        self._theta_of_pair = theta_arr
+        self._phi_of_pair = phi_arr
+        # gamma lattices, frac[m] = lnGamma(m + 2 + g) and integer[m] =
+        # lnGamma(m), and the cumulative pair weights, each grown on demand
+        self._glf = np.empty(0)
+        self._gli = np.array([np.inf])
+        self._ln_cumw = np.empty((self.n_pairs, 0))
+        self._extend_weights(n_pad)
 
         pair_pos = {pair: p for p, pair in enumerate(self.pairs)}
         swap = [pair_pos[(f, t)] for (t, f) in self.pairs]
@@ -180,14 +181,14 @@ class NeighborMarch:
         init[:, 1:] = self._ln_cumw[swap][:, : n_pad - 1]
         self._state = _ScaledRows(init)
 
-        self._theta_of_pair = theta_arr
         with np.errstate(divide="ignore"):
             ln_rho_phi = np.log(probs_q[phi_arr])
         self._pref_const = ln_rho_phi - self._gli[beta + phi_arr] + self._glf[beta + phi_arr]
-        # the prefactor's k-independent pieces at each block's last cell
-        ends = ell_blocks[:, -1]
-        self._gli_end = self._gli[ends[None, :] + phi_arr[:, None]]
-        self._end_idx = (theta_arr + phi_arr + 1)[:, None] + ends[None, :]
+        # the prefactor's k-independent pieces at each block's last cell,
+        # per (block, pair)
+        ends = ell_cells[-1]
+        self._gli_end = self._gli[ends[:, None] + phi_arr[None, :]]
+        self._end_idx = (theta_arr + phi_arr + 1)[None, :] + ends[:, None]
         # tail_amplitude()'s k-independent pieces
         self._amp_const = (
             self._pref_const + self._gli[beta + theta_arr + 1] - self._glf[beta + theta_arr]
@@ -196,40 +197,70 @@ class NeighborMarch:
         # prefactor over its value at the block's last cell, at level beta;
         # pref(ell) / pref(ell + 1) = (s + ell + k + 3 + g) / (ell + phi)
         s = theta_arr + phi_arr
-        f = (s[:, None, None] + ell_blocks + (beta + 3.0 + g)) / (
-            ell_blocks + phi_arr[:, None, None]
-        )
-        f[:, :, -1] = 1.0
-        np.cumprod(f[:, :, ::-1], axis=2, out=f[:, :, ::-1])
+        ell3 = ell_cells[:, :, None]
+        f = (s + ell3 + (beta + 3.0 + g)) / (ell3 + phi_arr)
+        f[-1] = 1.0
+        np.cumprod(f[::-1], axis=0, out=f[::-1])
         self._ratio = f
         self._ratio_k = beta
         self._s_vals, self._s_idx = np.unique(s, return_inverse=True)
-        self._ell_blocks = ell_blocks
+        self._ell_cells = ell_cells
+
+    def _extend_weights(self, j_count: int) -> None:
+        """Cumulative pair weights over j = beta+1 .. beta+j_count, lattices to match.
+
+        Continues the running log-sum from its last column, so every
+        value is the one a single pass over the whole range gives.
+        """
+        beta, g = self.beta, self.g
+        tmax = self.params.quality.theta_max
+        # the lattices reach every index the weights and readers take up to
+        # focal degree beta + j_count
+        m_top = j_count + 2 * beta + self._n_pad + 4 * tmax + 17
+        glf, gli = self._glf, self._gli
+        self._glf = np.concatenate(
+            (glf, _ln_gamma_raw(np.arange(glf.size, m_top, dtype=float) + 2.0 + g))
+        )
+        self._gli = np.concatenate((gli, _ln_gamma_raw(np.arange(gli.size, m_top, dtype=float))))
+
+        theta, phi = self._theta_of_pair, self._phi_of_pair
+        j_old = self._ln_cumw.shape[1]
+        j = beta + 1 + np.arange(j_old, j_count)
+        lnw = (
+            self._glf[j[None, :] + (theta + beta + phi)[:, None]]
+            - self._glf[j[None, :] + theta[:, None]]
+            - self._glf[beta + phi][:, None]
+        )
+        if j_old:
+            lnw[:, 0] = np.logaddexp(self._ln_cumw[:, -1], lnw[:, 0])
+        self._ln_cumw = np.concatenate(
+            (self._ln_cumw, np.logaddexp.accumulate(lnw, axis=1)), axis=1
+        )
 
     def _log_scale(self) -> np.ndarray:
-        """State offset plus log prefactor at each block's last cell, per (pair, block).
+        """State offset plus log prefactor at each block's last cell, per (block, pair).
 
         The prefactor is ln[rho(phi) G(k+theta+3+g) G(ell+phi) G(beta+2+phi+g)
         / (k G(k+theta+ell+phi+3+g) G(beta+phi))], G the gamma function.
         """
         k = self.k
         pref = self._pref_const - math.log(k) + self._glf[k + self._theta_of_pair + 1]
-        return self._state.off + pref[:, None] + self._gli_end - self._glf[self._end_idx + k]
+        return self._state.off + pref + self._gli_end - self._glf[self._end_idx + k]
 
     def _pref_ratio(self) -> np.ndarray:
         """Prefactor over its value at the block's last cell, per cell, at k.
 
         From k to k + 1 every ratio gains (s + e + k + 3 + g) /
         (s + ell + k + 3 + g), s = theta + phi and e the block's last
-        ell: one table over (s, ell) per level since the last read,
+        ell: one table over (ell, s) per level since the last read,
         gathered into the pairs once.
         """
         if self._ratio_k < self.k:
             step = 1.0
             for k in range(self._ratio_k, self.k):
-                d = self._s_vals[:, None, None] + (self._ell_blocks + (k + 3.0 + self.g))
-                step = step * (d[:, :, -1:] / d)
-            self._ratio *= step[self._s_idx]
+                d = self._s_vals + (self._ell_cells + (k + 3.0 + self.g))[:, :, None]
+                step = step * (d[-1:] / d)
+            self._ratio *= np.take(step, self._s_idx, axis=2)
             self._ratio_k = self.k
         return self._ratio
 
@@ -242,8 +273,9 @@ class NeighborMarch:
 
     def _make_level(self) -> MarchLevel:
         probs = self._state.vals * self._pref_ratio()
-        probs *= np.exp(self._log_scale())[:, :, None]
-        return MarchLevel(k=self.k, probs=self._trim(probs, "neighbor law"))
+        probs *= np.exp(self._log_scale())
+        # one transposing copy to [n_pairs, blocks, _BLOCK]
+        return MarchLevel(k=self.k, probs=self._trim(probs.transpose(2, 1, 0), "neighbor law"))
 
     def level(self) -> MarchLevel:
         """The resolved P(ell, phi | k, theta) of every pair at the march's k."""
@@ -274,7 +306,7 @@ class NeighborMarch:
         """(sum over pairs of w[theta] P(ell, phi | k, theta), its tail model).
 
         ``w_theta`` weights the supported qualities in order.  Each
-        (pair, block) of the j-sum state gets one scalar (weight times
+        (block, pair) of the j-sum state gets one scalar (weight times
         the log scale, normalized per block) and one ``einsum`` over the
         pairs supplies the carried prefactor ratio per cell.  Returns the
         resolved row and [1, 3] tail coefficients: the amplitude is the
@@ -286,15 +318,15 @@ class NeighborMarch:
         w = np.repeat(np.asarray(w_theta, dtype=float), len(self.support))
         vals = self._state.vals
         with np.errstate(divide="ignore"):
-            ln_c = self._log_scale() + np.log(w)[:, None]
-        # empty (pair, block)s must not set the block's scale
-        ln_c[vals[:, :, -1] == 0.0] = -np.inf
-        top = ln_c.max(axis=0)
+            ln_c = self._log_scale() + np.log(w)
+        # empty (block, pair)s must not set the block's scale
+        ln_c[vals[-1] == 0.0] = -np.inf
+        top = ln_c.max(axis=1)
         top[~np.isfinite(top)] = 0.0
-        c = np.exp(ln_c - top)
+        c = np.exp(ln_c - top[:, None])
         # einsum, not a BLAS matvec: BLAS threads stall when sweep threads
         # already occupy every core
-        row = np.einsum("pbi,pb,pbi->bi", vals, c, self._pref_ratio())
+        row = np.einsum("ibp,bp,ibp->bi", vals, c, self._pref_ratio())
         row *= np.exp(top)[:, None]
         row = self._trim(row.reshape(1, -1), "degree row")
         c0 = w @ self.tail_amplitude()
@@ -305,8 +337,8 @@ class NeighborMarch:
         """Move from focal degree k to k + 1."""
         self.k += 1
         idx = self.k - self.beta - 1
-        if idx >= self._j_count:
-            raise RuntimeError("march exceeded precomputed weight range")
+        if idx >= self._ln_cumw.shape[1]:
+            self._extend_weights(2 * self._ln_cumw.shape[1])
         self._state.advance(self._ln_cumw[:, idx])
 
 

@@ -344,6 +344,53 @@ def _cached_joint(params: ModelParams) -> JointTable:
     return table
 
 
+def _inv_k_mean(params: ModelParams) -> np.ndarray:
+    """E[1/k | theta] per supported quality, bracketed as ``QualityAggregate`` says."""
+    pmf = params.quality
+    beta = params.beta
+    g = params.mu_over_beta
+    support = pmf.support
+    thetas = support.astype(float)
+    ln_norm = _ln_gamma_raw(beta + thetas + 2.0 + g) - _ln_gamma_raw(beta + thetas)
+    cut = INV_K_CUT
+    while True:
+        tail = _joint_tail(params, cut)[support] / pmf.probs[support]
+        half_width = tail / (2.0 * (cut + 1))
+        if half_width.max() < INV_K_HALF_WIDTH:
+            break
+        if 2 * cut > DEFAULT_K_CAP:
+            raise NonConvergenceError(
+                f"E[1/k | theta] bracket {half_width.max():.2e} still above"
+                f" {INV_K_HALF_WIDTH} at the {DEFAULT_K_CAP}-degree cap"
+            )
+        cut *= 2
+    # log G(m)/G(m + 3 + g) on the lattice m = k + theta; it falls with m,
+    # so each theta's window starts at its largest entry
+    m = np.arange(beta, cut + pmf.theta_max + 1, dtype=float)
+    ln_ratio = _ln_gamma_raw(m) - _ln_gamma_raw(m + 3.0 + g)
+    inv_k = 1.0 / np.arange(beta, cut + 1, dtype=float)
+    firsts = ln_ratio[support]
+    shift = np.empty(support.size)
+    column_sums = np.empty(support.size)
+    i = 0
+    while i < support.size:
+        # qualities whose windows start within exp(_LATTICE_SPAN) of the
+        # first one's share one lattice, scaled by that start: at large
+        # g the unscaled lattice underflows while G(beta+theta+2+g)
+        # /G(beta+theta) overflows
+        j = i + int(np.searchsorted(firsts[i] - firsts[i:], _LATTICE_SPAN, "right"))
+        lo = support[i]
+        ratio = np.exp(ln_ratio[lo : support[j - 1] + inv_k.size] - firsts[i])
+        # one einsum, not one BLAS dot per theta: BLAS threads stall when
+        # sweep threads already occupy every core.  Indexed after the sum,
+        # so the overlapping windows are never copied
+        windows = np.lib.stride_tricks.sliding_window_view(ratio, inv_k.size)
+        column_sums[i:j] = np.einsum("ti,i->t", windows, inv_k)[support[i:j] - lo]
+        shift[i:j] = firsts[i]
+        i = j
+    return (2.0 + g) * np.exp(ln_norm + shift) * column_sums + half_width
+
+
 class QualityAggregate:
     """P(phi | theta) for every supported theta, from its exact closed form.
 
@@ -384,6 +431,8 @@ class QualityAggregate:
     ``INV_K_CUT`` and doubles until the half-width is below
     ``INV_K_HALF_WIDTH``, which moves E[phi | theta] by less than
     theta_max**2 * 1e-10.
+    A single-point support has mu = theta, so the tilt is zero, the law
+    is rho and no E[1/k | theta] is taken.
 
     Raises
     ------
@@ -396,47 +445,13 @@ class QualityAggregate:
         pmf = params.quality
         beta = params.beta
         mu = pmf.mean
-        g = params.mu_over_beta
         support = pmf.support
-        thetas = support.astype(float)
-        ln_norm = _ln_gamma_raw(beta + thetas + 2.0 + g) - _ln_gamma_raw(beta + thetas)
-        cut = INV_K_CUT
-        while True:
-            tail = _joint_tail(params, cut)[support] / pmf.probs[support]
-            half_width = tail / (2.0 * (cut + 1))
-            if half_width.max() < INV_K_HALF_WIDTH:
-                break
-            if 2 * cut > DEFAULT_K_CAP:
-                raise NonConvergenceError(
-                    f"E[1/k | theta] bracket {half_width.max():.2e} still above"
-                    f" {INV_K_HALF_WIDTH} at the {DEFAULT_K_CAP}-degree cap"
-                )
-            cut *= 2
-        # log G(m)/G(m + 3 + g) on the lattice m = k + theta; it falls with m,
-        # so each theta's window starts at its largest entry
-        m = np.arange(beta, cut + pmf.theta_max + 1, dtype=float)
-        ln_ratio = _ln_gamma_raw(m) - _ln_gamma_raw(m + 3.0 + g)
-        inv_k = 1.0 / np.arange(beta, cut + 1, dtype=float)
-        firsts = ln_ratio[support]
-        shift = np.empty(support.size)
-        column_sums = np.empty(support.size)
-        i = 0
-        while i < support.size:
-            # qualities whose windows start within exp(_LATTICE_SPAN) of the
-            # first one's share one lattice, scaled by that start: at large
-            # g the unscaled lattice underflows while G(beta+theta+2+g)
-            # /G(beta+theta) overflows
-            j = i + int(np.searchsorted(firsts[i] - firsts[i:], _LATTICE_SPAN, "right"))
-            lo = support[i]
-            ratio = np.exp(ln_ratio[lo : support[j - 1] + inv_k.size] - firsts[i])
-            # one einsum, not one BLAS dot per theta: BLAS threads stall when
-            # sweep threads already occupy every core.  Indexed after the sum,
-            # so the overlapping windows are never copied
-            windows = np.lib.stride_tricks.sliding_window_view(ratio, inv_k.size)
-            column_sums[i:j] = np.einsum("ti,i->t", windows, inv_k)[support[i:j] - lo]
-            shift[i:j] = firsts[i]
-            i = j
-        inv_k_mean = (2.0 + g) * np.exp(ln_norm + shift) * column_sums + half_width
+        if support.size == 1:
+            # one quality: mu = theta, so the tilt is zero and the law is
+            # rho whatever E[1/k | theta] is
+            inv_k_mean = np.zeros(1)
+        else:
+            inv_k_mean = _inv_k_mean(params)
         tilt = beta * (support - mu) / (beta + mu)
         self.support = support
         # [theta, phi] over the support
@@ -652,7 +667,7 @@ def neighbor_degree_dist(params: ModelParams, k: int) -> NeighborDist:
     if k > DEFAULT_K_CAP:
         raise DomainError(f"k = {k} beyond the degree cap {DEFAULT_K_CAP}")
     joint = _cached_joint(params)
-    march = NeighborMarch(params, l_resolve=LAW_CELLS, k_hint=k)
+    march = NeighborMarch(params, l_resolve=LAW_CELLS)
     while march.k < k:
         march.advance()
     pl, coef = DegreeProfile(params, joint)._degree_row(march)
@@ -686,7 +701,7 @@ def write_nn_table(
     ------
     DomainError
         If ``k < beta`` or ``k > DEFAULT_K_CAP``, the joint table's own
-        degree cap (the march allocates weights over ``k`` columns).
+        degree cap.
     """
     theta = _check_quality_index(params, theta, "theta")
     beta = params.beta
@@ -701,9 +716,7 @@ def write_nn_table(
             f"quality {theta} has zero probability; conditional undefined"
         )
     ti = support.index(theta)
-    march = NeighborMarch(
-        params, l_resolve=max(l_max - beta + 1, 64), k_hint=k
-    )
+    march = NeighborMarch(params, l_resolve=max(l_max - beta + 1, 64))
     while march.k < k:
         march.advance()
     n_s = len(support)

@@ -123,7 +123,7 @@ def _run_paradox_march(
     """
     beta = params.beta
     min_scan = int(math.ceil(4.0 * joint.mean_degree))
-    march = NeighborMarch(params, l_resolve=l_resolve, k_hint=beta + scan_cap)
+    march = NeighborMarch(params, l_resolve=l_resolve)
     profile = DegreeProfile(params, joint)
     fail_mean = 0
     fail_median = 0

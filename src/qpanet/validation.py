@@ -115,7 +115,7 @@ def probe_held_out(params):
     n_s = len(params.quality.support)
     n = analytic.LAW_CELLS
     s = 2.0 + params.mu_over_beta
-    march = analytic.NeighborMarch(params, l_resolve=2 * n, k_hint=deepest)
+    march = analytic.NeighborMarch(params, l_resolve=2 * n)
     ells = march.ells
     while True:
         if march.k in probe_ks:

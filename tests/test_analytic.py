@@ -11,6 +11,7 @@ from qpanet import validation
 from qpanet._engine import (
     _BLOCK,
     NeighborMarch,
+    _ScaledRows,
     power_tail_fit,
     tail_power_sum,
 )
@@ -133,7 +134,7 @@ class TestPureDegreeReduction:
         got = _joint_rows(params, beta, beta + 1023)[:, 0]
         rtol = 8 * np.finfo(float).eps * np.array([math.lgamma(k + 3) for k in ks])
         assert np.all(np.abs(got - closed) <= rtol * closed)
-        march = NeighborMarch(params, l_resolve=64, k_hint=beta + 40)
+        march = NeighborMarch(params, l_resolve=64)
         while True:
             k = march.k
             assert march.tail_amplitude() == pytest.approx([beta * (k + 2) / k], rel=1e-12)
@@ -271,7 +272,7 @@ class TestMarchAgainstDirect:
         # the vectorized lattice march must agree with the term-for-term
         # reference evaluation to 1e-12 relative
         params = ModelParams(beta=2, quality=make_exponential(0.5, 2))
-        march = NeighborMarch(params, l_resolve=350, k_hint=25)
+        march = NeighborMarch(params, l_resolve=350)
         worst = 0.0
         for k in range(2, 26):
             lvl = march.level()
@@ -294,7 +295,7 @@ class TestMarchAgainstDirect:
         # amplitude and the exact pair mass (beta/k) pi(phi) + (1 - beta/k)
         # rho(phi), must predict the resolved mass of the next 1024 cells
         params = ModelParams(beta=3, quality=make_exponential(1.5, 3))
-        march = NeighborMarch(params, l_resolve=2048, k_hint=11)
+        march = NeighborMarch(params, l_resolve=2048)
         while march.k < 11:
             march.advance()
         probs = march.level().probs
@@ -341,6 +342,33 @@ def _block_edges(march):
     return sorted(set(firsts.tolist()) | set(lasts.tolist()))
 
 
+class TestScaledRows:
+    def test_matches_full_row_log_space_recurrence(self):
+        # the blocked kernel against the plain recurrence on whole log rows:
+        # entry 0 is replaced by the seed, then one running log-sum-exp
+        rng = np.random.default_rng(23)
+        n_rows, n_cells = 6, 8 * _BLOCK
+        # nondecreasing rows, the kernel's contract, spanning ~650 nats, with
+        # leading zeros (-inf) and one row empty until it is seeded
+        logs = np.sort(rng.uniform(-320.0, 330.0, (n_rows, n_cells)), axis=1)
+        logs[1, :40] = -np.inf
+        logs[2, : 3 * _BLOCK + 5] = -np.inf
+        logs[3] = -np.inf
+        rows = _ScaledRows(logs.copy())
+        off0 = rows.off.copy()
+        for level in range(300):
+            grow = rng.uniform(0.0, 4.0, n_rows)
+            seed = np.where(np.isfinite(logs[:, 0]), logs[:, 0], -300.0) + grow
+            if level % 7 == 3:
+                seed[4] = -np.inf
+            logs[:, 0] = seed
+            logs = np.logaddexp.accumulate(logs, axis=1)
+            rows.advance(seed)
+            np.testing.assert_allclose(rows.log_values(), logs, rtol=0.0, atol=1e-12)
+        # the values grew past the renormalization threshold on the way
+        assert not np.array_equal(rows.off, off0)
+
+
 CONTRACTION_CASES = [
     (2, make_exponential(0.5, 4)),
     (5, make_custom([0.5, 0, 0, 0, 0, 0.5])),
@@ -359,7 +387,7 @@ class TestContractedDegreeRow:
         support = [int(t) for t in pmf.support]
         n_s = len(support)
         s = 2.0 + params.mu_over_beta
-        march = NeighborMarch(params, l_resolve=1024, k_hint=depth)
+        march = NeighborMarch(params, l_resolve=1024)
         while True:
             w = joint.p_theta_given_k(march.k)[support]
             row, coef = march.degree_row(w)
@@ -384,7 +412,7 @@ class TestContractedDegreeRow:
     def _assert_rows_nondecreasing(march):
         # the invariant behind reading each block's maximum as its last entry
         state = march._state
-        assert np.all(np.diff(state.vals, axis=2) >= 0.0)
+        assert np.all(np.diff(state.vals, axis=0) >= 0.0)
         logs = state.log_values()
         assert np.all(logs[:, 1:] >= logs[:, :-1] - 1e-12)
 
@@ -394,8 +422,8 @@ class TestContractedDegreeRow:
         # beta in one go
         params = ModelParams(beta=3, quality=make_exponential(0.8, 6))
         w = np.full(7, 1.0 / 7)
-        every = NeighborMarch(params, l_resolve=512, k_hint=40)
-        once = NeighborMarch(params, l_resolve=512, k_hint=40)
+        every = NeighborMarch(params, l_resolve=512)
+        once = NeighborMarch(params, l_resolve=512)
         while every.k < 40:
             every.degree_row(w)
             every.advance()
@@ -425,7 +453,7 @@ class TestMarchEdgeBalance:
         support = [int(t) for t in pmf.support]
         n_s = len(support)
         joint = _joint_rows(params, beta, top)[:, support]  # [k - beta, theta]
-        march = NeighborMarch(params, l_resolve=64, k_hint=top)
+        march = NeighborMarch(params, l_resolve=64)
         levels = []
         while True:
             levels.append(march.level().probs.reshape(n_s, n_s, -1)[:, :, : top - beta + 1])
@@ -461,7 +489,7 @@ class TestMarchAgainstDirectWideSupports:
         depth = _scan_depth(params, build_joint_table(params))
         support = [int(t) for t in pmf.support]
         n_s = len(support)
-        march = NeighborMarch(params, l_resolve=1024, k_hint=depth)
+        march = NeighborMarch(params, l_resolve=1024)
         edges = _block_edges(march)
         assert edges[-1] == march.n_ell - 1
         probe_ks = sorted({beta, beta + 1, 2 * beta + 5, depth})
@@ -490,7 +518,7 @@ class TestMarchDeepLevels:
         # the term-for-term reference at the last 40 cells of the grid
         params = ModelParams(beta=2, quality=make_exponential(0.5, 2))
         k = 8000
-        march = NeighborMarch(params, l_resolve=1024, k_hint=k)
+        march = NeighborMarch(params, l_resolve=1024)
         while march.k < k:
             march.advance()
         block = march.level().probs.reshape(3, 3, -1)
@@ -501,6 +529,22 @@ class TestMarchDeepLevels:
                     want = nn_probability(params, k, theta, int(march.ells[i]), phi)
                     rel = abs(block[theta, phi, i] - want) / want
                     assert rel < rtol[i], (theta, phi, int(march.ells[i]), rel)
+
+    def test_weights_grown_on_demand_match_one_pass(self):
+        # a 64-cell march grows its weights and gamma lattices as it passes
+        # their end, 64 -> 128 -> 256 -> 512 columns; every grown value is the
+        # one a march whose grid already spans them computes in one pass
+        params = ModelParams(beta=3, quality=make_exponential(0.5, 6))
+        grown = NeighborMarch(params, l_resolve=64)
+        whole = NeighborMarch(params, l_resolve=512)
+        while grown.k < 3 + 400:
+            grown.advance()
+        n = whole._ln_cumw.shape[1]
+        assert grown._ln_cumw.shape[1] == n
+        np.testing.assert_array_equal(grown._ln_cumw, whole._ln_cumw)
+        m = min(grown._glf.size, whole._glf.size)
+        np.testing.assert_array_equal(grown._glf[:m], whole._glf[:m])
+        np.testing.assert_array_equal(grown._gli[:m], whole._gli[:m])
 
 
 class TestNeighborQualityDist:
@@ -648,7 +692,7 @@ class TestMarchEdgeBalanceProperty:
         support = [int(t) for t in params.quality.support]
         n_s = len(support)
         joint = _joint_rows(params, beta, top)[:, support]
-        march = NeighborMarch(params, l_resolve=32, k_hint=top)
+        march = NeighborMarch(params, l_resolve=32)
         levels = [march.level().probs.reshape(n_s, n_s, -1)[:, :, : top - beta + 1]]
         while march.k < top:
             march.advance()
@@ -673,7 +717,7 @@ class TestBlockEdgesProperty:
         params = ModelParams(beta=beta, quality=make_custom(weights))
         support = [int(t) for t in params.quality.support]
         n_s = len(support)
-        march = NeighborMarch(params, l_resolve=100, k_hint=beta + depth)
+        march = NeighborMarch(params, l_resolve=100)
         edges = _block_edges(march)
         assert edges[-1] == march.n_ell - 1 and len(edges) == 8
         for k in sorted({beta, beta + depth}):
@@ -740,7 +784,7 @@ class TestNeighborDegreeDist:
         from qpanet.analytic import _joint_rows
 
         params = ModelParams(beta=1, quality=make_bernoulli(0.5, 250))
-        march = NeighborMarch(params, l_resolve=1024, k_hint=1)
+        march = NeighborMarch(params, l_resolve=1024)
         w = _joint_rows(params, 1, 1)[0][params.quality.support]
         row, coef = march.degree_row(w / w.sum())
         with pytest.raises(NonConvergenceError, match="exponent 127"):
@@ -837,7 +881,7 @@ def _march_first_moments(params, l_resolve, k_top):
     joint = build_joint_table(params)
     support = [int(t) for t in params.quality.support]
     s = 2.0 + params.mu_over_beta
-    march = NeighborMarch(params, l_resolve=l_resolve, k_hint=k_top)
+    march = NeighborMarch(params, l_resolve=l_resolve)
     z = zeta(s - 1.0, int(march.ells[-1]) + 1)
     out = []
     while True:
@@ -954,7 +998,7 @@ class TestPinnedDegreeRow:
         joint = build_joint_table(params)
         depth = beta + SCAN_CAP_DEFAULT
         n_ell = scan_cells(params) if grid == "scan" else LAW_CELLS
-        march = NeighborMarch(params, l_resolve=n_ell, k_hint=depth)
+        march = NeighborMarch(params, l_resolve=n_ell)
         profile = DegreeProfile(params, joint)
         worst = 0.0
         while True:
@@ -1008,8 +1052,8 @@ class TestPinnedDegreeRow:
         joint = build_joint_table(params)
         support = [int(t) for t in pmf.support]
         k_top = 70
-        scan = NeighborMarch(params, l_resolve=scan_cells(params), k_hint=k_top)
-        full = NeighborMarch(params, l_resolve=DEFAULT_ELL_CAP - beta + 1, k_hint=k_top)
+        scan = NeighborMarch(params, l_resolve=scan_cells(params))
+        full = NeighborMarch(params, l_resolve=DEFAULT_ELL_CAP - beta + 1)
         assert full.ells[-1] == DEFAULT_ELL_CAP
         profile = DegreeProfile(params, joint)
         worst = 0.0

@@ -9,6 +9,7 @@ from qpanet.measures import (
     SCAN_CELLS,
     SWEEP_CSV_HEADER,
     Criticals,
+    ScanEdgeWarning,
     critical_values,
     paradox_fractions,
     scan_cells,
@@ -66,6 +67,18 @@ class TestCriticalValues:
         params = ModelParams(beta=beta, quality=make_bernoulli(1.0, 4))
         assert scan_cells(params) == 4 * SCAN_CELLS
         assert critical_values(params).degree_mean == k_mean
+
+    @pytest.mark.parametrize("beta", [240, 512])
+    def test_single_quality_at_large_beta_returns(self, beta):
+        # one supported quality: the neighbor-quality law is rho and needs no
+        # E[1/k | theta], whose bracket no longer closes below the degree cap
+        # from beta 240
+        params = ModelParams(beta=beta, quality=make_bernoulli(1.0, 4))
+        with pytest.warns(ScanEdgeWarning):
+            c = critical_values(params)
+        assert c.quality_mean is None and c.quality_median is None
+        assert c.degree_mean is not None and c.degree_mean >= beta
+        assert c.degree_median is not None and c.degree_median >= beta
 
     def test_strictness(self, exp_small):
         # the defining inequality holds at the critical value and fails
