@@ -25,7 +25,7 @@ def show(x):
 for q in (0.5, 1.5):
     params = ModelParams(beta=2, quality=make_exponential(q, 16))
     joint = build_joint_table(params)
-    qpa = critical_values(params, joint=joint)
+    qpa = critical_values(params)
     unc = uncorrelated_criticals(params, joint)
     fr = paradox_fractions(params, qpa, joint)
     print(f"=== exponential q={q}, theta_max=16, beta=2 ===")

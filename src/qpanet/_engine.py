@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,19 +108,11 @@ class _ScaledRows:
         return logs.transpose(2, 1, 0).reshape(logs.shape[2], -1)
 
 
-@dataclass
-class MarchLevel:
-    """The resolved neighbor distribution at one focal degree; no tail."""
-
-    k: int
-    probs: np.ndarray  # [n_pairs, n_ell] linear probabilities
-
-
 class NeighborMarch:
     """Iterates focal degree k, yielding resolved P(ell, phi | k, theta).
 
     ``pairs`` enumerates ordered (theta, phi) over the support of the
-    quality distribution; ``probs`` rows follow that order.  The
+    quality distribution; the rows of ``level()`` follow that order.  The
     resolved ell grid is ``beta .. beta + n_ell - 1``; mass beyond it
     follows the power-law tail ``ell**-(2 + mu/beta)``, whose amplitude
     ``tail_amplitude()`` gives in closed form per pair.
@@ -271,14 +262,14 @@ class NeighborMarch:
             raise NonConvergenceError(f"{what} at k = {self.k} left float range")
         return cells
 
-    def _make_level(self) -> MarchLevel:
+    def _make_level(self) -> np.ndarray:
         probs = self._state.vals * self._pref_ratio()
         probs *= np.exp(self._log_scale())
         # one transposing copy to [n_pairs, blocks, _BLOCK]
-        return MarchLevel(k=self.k, probs=self._trim(probs.transpose(2, 1, 0), "neighbor law"))
+        return self._trim(probs.transpose(2, 1, 0), "neighbor law")
 
-    def level(self) -> MarchLevel:
-        """The resolved P(ell, phi | k, theta) of every pair at the march's k."""
+    def level(self) -> np.ndarray:
+        """The resolved P(ell, phi | k, theta) at the march's k, as [n_pairs, n_ell]."""
         return self._make_level()
 
     def tail_amplitude(self) -> np.ndarray:

@@ -13,7 +13,6 @@ unbounded degree sums.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_K_CAP = 10**5
-# degrees tabulated by build_joint_table; the degree scan reads to beta + 512
+# degrees tabulated by build_joint_table
 JOINT_ROWS = 1024
 # resolved neighbor degrees of neighbor_degree_dist and of the validation probes
 LAW_CELLS = 1024
@@ -87,8 +86,8 @@ class JointTable:
     ``0 .. theta_max``.  ``tail_mass`` is the exact probability beyond
     ``k_max`` (per quality in ``tail_by_theta``), ``mean_degree`` the
     exact mean 2 beta; the median follows the CDF >= 1/2 convention.
-    ``p_theta_given_k`` evaluates rows past the block on demand, up to
-    ``DEFAULT_K_CAP``.
+    The degree scan does not read it: it takes P(theta | k) from the
+    closed form (``_quality_given_degree``).
     """
 
     params: ModelParams
@@ -111,18 +110,6 @@ class JointTable:
                 f"quality {theta} has zero probability"
             )
         return self.probs[:, theta] / rho
-
-    def p_theta_given_k(self, k: int) -> np.ndarray:
-        i = k - self.params.beta
-        if i < 0 or k > DEFAULT_K_CAP:
-            raise DomainError(
-                f"degree {k} outside [{self.params.beta}, {DEFAULT_K_CAP}]"
-            )
-        row = self.probs[i] if k <= self.k_max else _joint_rows(self.params, k, k)[0]
-        total = row.sum()
-        if total <= 0.0:
-            raise UndefinedConditionalError(f"degree {k} has zero probability")
-        return row / total
 
 
 @dataclass
@@ -256,6 +243,10 @@ def build_joint_table(params: ModelParams) -> JointTable:
     )
 
 
+# called by nothing; perfbench/tracing.py hooks this name (ROADMAP item 1)
+_cached_joint = build_joint_table
+
+
 def nn_probability(
     params: ModelParams, k: int, theta: int, ell: int, phi: int
 ) -> float:
@@ -319,29 +310,6 @@ def nn_probability(
 # --------------------------------------------------------------------------
 # aggregated conditionals
 # --------------------------------------------------------------------------
-
-
-_JOINT_CACHE: dict = {}
-_JOINT_CACHE_SIZE = 4
-_JOINT_CACHE_LOCK = threading.Lock()
-
-
-def _cached_joint(params: ModelParams) -> JointTable:
-    """Joint table from a small FIFO cache shared by sweep threads.
-
-    A miss builds outside the lock, so two threads may build the same
-    table; the second insert just replaces the first.
-    """
-    key = params.key()
-    with _JOINT_CACHE_LOCK:
-        table = _JOINT_CACHE.get(key)
-    if table is None:
-        table = build_joint_table(params)
-        with _JOINT_CACHE_LOCK:
-            if key not in _JOINT_CACHE and len(_JOINT_CACHE) >= _JOINT_CACHE_SIZE:
-                _JOINT_CACHE.pop(next(iter(_JOINT_CACHE)), None)
-            _JOINT_CACHE[key] = table
-    return table
 
 
 def _inv_k_mean(params: ModelParams) -> np.ndarray:
@@ -572,6 +540,17 @@ def _neighbor_degree_moments(params: ModelParams, k_max: int) -> np.ndarray:
     return np.cumsum(steps, axis=0) * x / ks
 
 
+def _quality_given_degree(params: ModelParams, k_max: int) -> np.ndarray:
+    """P(theta | k) for k = beta..k_max (rows) and the supported theta.
+
+    Each row of the closed-form joint law, normalized in log space, so
+    rows whose joint probabilities underflow still sum to 1.
+    """
+    ln_w = _ln_joint_rows(params, params.beta, k_max)[:, params.quality.support]
+    w = np.exp(ln_w - ln_w.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
+
+
 def neighbor_degree_first_moment(params: ModelParams, k_max: int) -> np.ndarray:
     """Uncapped E[ell | k] for k = beta..k_max, ell a random neighbor's degree.
 
@@ -583,25 +562,21 @@ def neighbor_degree_first_moment(params: ModelParams, k_max: int) -> np.ndarray:
     beta = params.beta
     if int(k_max) != k_max or k_max < beta:
         raise DomainError(f"k_max must be an integer >= beta = {beta}, got {k_max}")
-    by_theta = _neighbor_degree_moments(params, int(k_max))
-    if params.mu_over_beta == 0.0:
-        return by_theta[:, 0]
-    ln_w = _ln_joint_rows(params, beta, int(k_max))[:, params.quality.support]
-    w = np.exp(ln_w - ln_w.max(axis=1, keepdims=True))
-    return np.einsum("kt,kt->k", w, by_theta) / w.sum(axis=1)
+    w = _quality_given_degree(params, int(k_max))
+    return np.einsum("kt,kt->k", w, _neighbor_degree_moments(params, int(k_max)))
 
 
 class DegreeProfile:
     """Mean/median neighbor degree per focal degree, from march levels."""
 
-    def __init__(self, params, joint):
+    def __init__(self, params):
         self.params = params
-        self.joint = joint
         self.ks: list[int] = []
         self.means: list[float] = []
         self.medians: list[int] = []
-        self._support = [int(t) for t in params.quality.support]
-        self._moments = np.empty((0, len(self._support)))
+        # P(theta | k) and E[ell | k] from k = beta, grown on demand
+        self._weights = np.empty((0, params.quality.support.size))
+        self._moments = np.empty(0)
 
     def add_level(self, march: NeighborMarch) -> None:
         """Record the march's current focal degree."""
@@ -622,9 +597,12 @@ class DegreeProfile:
         """
         i = march.k - self.params.beta
         if i >= len(self._moments):
-            self._moments = _neighbor_degree_moments(self.params, 2 * march.k)
-        w = self.joint.p_theta_given_k(march.k)[self._support]
-        return march.degree_row(w, moment=float(w @ self._moments[i]))
+            k_max = 2 * march.k
+            self._weights = _quality_given_degree(self.params, k_max)
+            self._moments = np.einsum(
+                "kt,kt->k", self._weights, _neighbor_degree_moments(self.params, k_max)
+            )
+        return march.degree_row(self._weights[i], moment=float(self._moments[i]))
 
 
 def neighbor_quality_dist(params: ModelParams, theta: int) -> NeighborDist:
@@ -666,11 +644,10 @@ def neighbor_degree_dist(params: ModelParams, k: int) -> NeighborDist:
     k = int(k)
     if k > DEFAULT_K_CAP:
         raise DomainError(f"k = {k} beyond the degree cap {DEFAULT_K_CAP}")
-    joint = _cached_joint(params)
     march = NeighborMarch(params, l_resolve=LAW_CELLS)
     while march.k < k:
         march.advance()
-    pl, coef = DegreeProfile(params, joint)._degree_row(march)
+    pl, coef = DegreeProfile(params)._degree_row(march)
     mean, median, tail = _degree_stats(march.ells, pl, coef, params.mu_over_beta)
     return NeighborDist(
         kind="degree-given-k",
@@ -700,8 +677,7 @@ def write_nn_table(
     Raises
     ------
     DomainError
-        If ``k < beta`` or ``k > DEFAULT_K_CAP``, the joint table's own
-        degree cap.
+        If ``k < beta`` or ``k > DEFAULT_K_CAP``.
     """
     theta = _check_quality_index(params, theta, "theta")
     beta = params.beta
@@ -720,7 +696,7 @@ def write_nn_table(
     while march.k < k:
         march.advance()
     n_s = len(support)
-    block = march.level().probs.reshape(n_s, n_s, -1)[ti]  # [phi, ell]
+    block = march.level().reshape(n_s, n_s, -1)[ti]  # [phi, ell]
     ells = march.ells
     keep = ells <= l_max
     tail_dump = max(1.0 - float(block[:, keep].sum()), 0.0)

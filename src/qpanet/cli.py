@@ -16,13 +16,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import sys
 import tempfile
 import time
-
-import numpy as np
 
 from . import analytic, measures, simulate
 from .errors import (
@@ -112,15 +109,14 @@ def _quality_from_args(args) -> tuple[str, float]:
 
 
 def _default_threads() -> int:
-    """``QPANET_THREADS`` (``GFP_THREADS`` is its older alias), else 1."""
-    for name in ("QPANET_THREADS", "GFP_THREADS"):
-        env = os.environ.get(name, "").strip()
-        if env:
-            try:
-                return _positive_int(env)
-            except (ValueError, argparse.ArgumentTypeError):
-                raise DomainError(f"{name} must be an integer >= 1, got {env!r}") from None
-    return 1
+    """``QPANET_THREADS``, else 1."""
+    env = os.environ.get("QPANET_THREADS", "").strip()
+    if not env:
+        return 1
+    try:
+        return _positive_int(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise DomainError(f"QPANET_THREADS must be an integer >= 1, got {env!r}") from None
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import analytic
 from ._engine import NeighborMarch
-from .analytic import DegreeProfile, JointTable, ModelParams, QualityAggregate
+from .analytic import DegreeProfile, ModelParams, QualityAggregate
 from .errors import DomainError, QpanetError
 from .quality import make_family
 
@@ -108,23 +108,20 @@ def scan_cells(params: ModelParams) -> int:
 
 
 def _run_paradox_march(
-    params: ModelParams,
-    joint: JointTable,
-    l_resolve: int,
-    scan_cap: int,
+    params: ModelParams, l_resolve: int, scan_cap: int
 ) -> tuple[DegreeProfile, tuple[str, ...]]:
     """March over focal degree for the degree paradox.
 
     Scans k while testing k < mean / k < median of the neighbor degree
     distribution, stopping once both inequalities have failed for
     SCAN_FAIL_RUN consecutive degrees and the scan has covered at least
-    four times the mean degree, or at the scan cap.  Returns the
-    per-degree profile and the scan-cap notes.
+    four times the exact mean degree 2 beta, or at the scan cap.  Returns
+    the per-degree profile and the scan-cap notes.
     """
     beta = params.beta
-    min_scan = int(math.ceil(4.0 * joint.mean_degree))
+    min_scan = 8 * beta
     march = NeighborMarch(params, l_resolve=l_resolve)
-    profile = DegreeProfile(params, joint)
+    profile = DegreeProfile(params)
     fail_mean = 0
     fail_median = 0
     notes = []
@@ -150,11 +147,7 @@ def _run_paradox_march(
     return profile, tuple(notes)
 
 
-def critical_values(
-    params: ModelParams,
-    scan_cap: int = SCAN_CAP_DEFAULT,
-    joint: JointTable | None = None,
-) -> Criticals:
+def critical_values(params: ModelParams, scan_cap: int = SCAN_CAP_DEFAULT) -> Criticals:
     """Critical quality and degree values for the growth model.
 
     Each critical value is the maximum attribute value for which the
@@ -167,13 +160,11 @@ def critical_values(
     degrees; a mean within 2e-2 of its degree on a ``SCAN_CELLS`` scan
     re-decides the degree criticals on ``4 * SCAN_CELLS``, also noted.
     """
-    if joint is None:
-        joint = analytic._cached_joint(params)
     cells = scan_cells(params)
-    profile, notes = _run_paradox_march(params, joint, cells, scan_cap)
+    profile, notes = _run_paradox_march(params, cells, scan_cap)
     margin = min(abs(m - k) for k, m in zip(profile.ks, profile.means))
     if cells == SCAN_CELLS and margin < 2e-2:
-        profile, notes = _run_paradox_march(params, joint, 4 * SCAN_CELLS, scan_cap)
+        profile, notes = _run_paradox_march(params, 4 * SCAN_CELLS, scan_cap)
         notes += (
             f"near tie: mean margin {margin:.2e} on the {SCAN_CELLS}-cell scan,"
             f" re-decided on {4 * SCAN_CELLS} cells",
@@ -196,7 +187,7 @@ def critical_values(
     )
 
 
-def uncorrelated_criticals(params: ModelParams, joint: JointTable) -> Criticals:
+def uncorrelated_criticals(params: ModelParams, joint: analytic.JointTable) -> Criticals:
     """Critical values when neighbor attributes are independent of the node.
 
     With independent neighbors the mean/median neighbor attribute is the
@@ -225,7 +216,7 @@ def _int_below(value: float, floor: int):
 
 
 def paradox_fractions(
-    params: ModelParams, criticals: Criticals, joint: JointTable
+    params: ModelParams, criticals: Criticals, joint: analytic.JointTable
 ) -> Fractions:
     """Fraction of nodes at or below each critical value.
 
@@ -261,7 +252,7 @@ def _sweep_point(family, x, beta, theta_max) -> SweepRow:
     try:
         params = ModelParams(beta=beta, quality=make_family(family, x, theta_max))
         joint = analytic.build_joint_table(params)
-        qpa = critical_values(params, joint=joint)
+        qpa = critical_values(params)
         row.qpa = qpa
         row.uncorrelated = uncorrelated_criticals(params, joint)
         row.fractions = paradox_fractions(params, qpa, joint)

@@ -119,7 +119,7 @@ def probe_held_out(params):
     ells = march.ells
     while True:
         if march.k in probe_ks:
-            probs = march.level().probs
+            probs = march.level()
             coef = power_tail_fit(
                 probs[:, :n], ells[:n], s, march.tail_amplitude(), analytic.quality_q_level(march)
             )

@@ -22,6 +22,7 @@ from qpanet.analytic import (
     _degree_stats,
     _joint_rows,
     _joint_tail,
+    _quality_given_degree,
     build_joint_table,
     joint_probability,
     neighbor_degree_dist,
@@ -227,10 +228,9 @@ class TestNnProbability:
         # against a direct second-sum-only evaluation via the march.
         params = ModelParams(beta=2, quality=make_exponential(0.5, 2))
         march = NeighborMarch(params, l_resolve=64)
-        lvl = march.level()
-        assert lvl.k == 2
+        assert march.k == 2
         n_s = 3
-        got = lvl.probs.reshape(n_s, n_s, -1)
+        got = march.level().reshape(n_s, n_s, -1)
         for ti in range(3):
             for fi in range(3):
                 for ell in (2, 5, 20):
@@ -275,8 +275,7 @@ class TestMarchAgainstDirect:
         march = NeighborMarch(params, l_resolve=350)
         worst = 0.0
         for k in range(2, 26):
-            lvl = march.level()
-            block = lvl.probs.reshape(3, 3, -1)
+            block = march.level().reshape(3, 3, -1)
             if k in (2, 3, 8, 25):
                 for ti in range(3):
                     for fi in range(3):
@@ -298,7 +297,7 @@ class TestMarchAgainstDirect:
         march = NeighborMarch(params, l_resolve=2048)
         while march.k < 11:
             march.advance()
-        probs = march.level().probs
+        probs = march.level()
         n, n_s, s = 1024, 4, 2.0 + params.mu_over_beta
         rho = params.quality.probs
         pi = rho * (3 + np.arange(n_s)) / (3 + params.quality.mean)
@@ -313,11 +312,11 @@ class TestMarchAgainstDirect:
             assert abs(residual) < 1e-6
 
 
-def _scan_depth(params, joint):
+def _scan_depth(params):
     """Last focal degree the degree-paradox scan reads for ``params``."""
     from qpanet.measures import SCAN_CAP_DEFAULT, _run_paradox_march
 
-    profile, _ = _run_paradox_march(params, joint, 1024, SCAN_CAP_DEFAULT)
+    profile, _ = _run_paradox_march(params, 1024, SCAN_CAP_DEFAULT)
     return profile.ks[-1]
 
 
@@ -382,17 +381,16 @@ class TestContractedDegreeRow:
         # the row the degree scan reads, contracted before materializing,
         # against the full level summed over phi and weighted by P(theta | k)
         params = ModelParams(beta=beta, quality=pmf)
-        joint = build_joint_table(params)
-        depth = _scan_depth(params, joint)
+        depth = _scan_depth(params)
+        weights = _quality_given_degree(params, depth)
         support = [int(t) for t in pmf.support]
         n_s = len(support)
         s = 2.0 + params.mu_over_beta
         march = NeighborMarch(params, l_resolve=1024)
         while True:
-            w = joint.p_theta_given_k(march.k)[support]
+            w = weights[march.k - beta]
             row, coef = march.degree_row(w)
-            lvl = march.level()
-            want = w @ lvl.probs.reshape(n_s, n_s, -1).sum(axis=1)
+            want = w @ march.level().reshape(n_s, n_s, -1).sum(axis=1)
             assert np.all((row == 0.0) == (want == 0.0))
             nz = want > 0.0
             rel = np.abs(row - want)[nz] / want[nz]
@@ -456,7 +454,7 @@ class TestMarchEdgeBalance:
         march = NeighborMarch(params, l_resolve=64)
         levels = []
         while True:
-            levels.append(march.level().probs.reshape(n_s, n_s, -1)[:, :, : top - beta + 1])
+            levels.append(march.level().reshape(n_s, n_s, -1)[:, :, : top - beta + 1])
             if march.k == top:
                 break
             march.advance()
@@ -486,7 +484,7 @@ class TestMarchAgainstDirectWideSupports:
         # scan's resolution: first levels, criterion 03's deepest probe and
         # the scan depth, on every block edge and the last resolved ell
         params = ModelParams(beta=beta, quality=pmf)
-        depth = _scan_depth(params, build_joint_table(params))
+        depth = _scan_depth(params)
         support = [int(t) for t in pmf.support]
         n_s = len(support)
         march = NeighborMarch(params, l_resolve=1024)
@@ -497,7 +495,7 @@ class TestMarchAgainstDirectWideSupports:
         for k in probe_ks:
             while march.k < k:
                 march.advance()
-            block = march.level().probs.reshape(n_s, n_s, -1)
+            block = march.level().reshape(n_s, n_s, -1)
             rtol = _prefactor_rtol(march)
             for theta in picks:
                 for phi in picks:
@@ -521,7 +519,7 @@ class TestMarchDeepLevels:
         march = NeighborMarch(params, l_resolve=1024)
         while march.k < k:
             march.advance()
-        block = march.level().probs.reshape(3, 3, -1)
+        block = march.level().reshape(3, 3, -1)
         rtol = _prefactor_rtol(march)
         for theta in (0, 2):
             for phi in (0, 2):
@@ -693,10 +691,10 @@ class TestMarchEdgeBalanceProperty:
         n_s = len(support)
         joint = _joint_rows(params, beta, top)[:, support]
         march = NeighborMarch(params, l_resolve=32)
-        levels = [march.level().probs.reshape(n_s, n_s, -1)[:, :, : top - beta + 1]]
+        levels = [march.level().reshape(n_s, n_s, -1)[:, :, : top - beta + 1]]
         while march.k < top:
             march.advance()
-            levels.append(march.level().probs.reshape(n_s, n_s, -1)[:, :, : top - beta + 1])
+            levels.append(march.level().reshape(n_s, n_s, -1)[:, :, : top - beta + 1])
         ks = np.arange(beta, top + 1, dtype=float)
         lhs = ks[:, None, None, None] * joint[:, :, None, None] * np.stack(levels)
         rhs = np.transpose(lhs, (3, 2, 1, 0))
@@ -723,7 +721,7 @@ class TestBlockEdgesProperty:
         for k in sorted({beta, beta + depth}):
             while march.k < k:
                 march.advance()
-            block = march.level().probs.reshape(n_s, n_s, -1)
+            block = march.level().reshape(n_s, n_s, -1)
             rtol = _prefactor_rtol(march)
             for ti, theta in enumerate(support):
                 for fi, phi in enumerate(support):
@@ -828,47 +826,6 @@ class TestNnTableDump:
         assert abs(total + tail - 1.0) < 1e-6
 
 
-class TestJointCache:
-    def test_concurrent_lookups(self, monkeypatch):
-        # eight threads over six models share the four-entry cache; slow
-        # builds keep several misses in flight, and an eviction that yields
-        # the GIL lets two threads pick the same oldest entry
-        import threading
-        import time
-
-        from qpanet import analytic
-
-        class SlowPop(dict):
-            def pop(self, *args):
-                time.sleep(0.001)
-                return super().pop(*args)
-
-        def slow_build(params):
-            time.sleep(0.002)
-            return params
-
-        monkeypatch.setattr(analytic, "_JOINT_CACHE", SlowPop())
-        monkeypatch.setattr(analytic, "build_joint_table", slow_build)
-        models = [ModelParams(beta=b, quality=make_exponential(0.5, 2)) for b in range(1, 7)]
-        errors = []
-
-        def worker(seed):
-            rng = np.random.default_rng(seed)
-            try:
-                for i in rng.integers(0, len(models), size=40):
-                    assert analytic._cached_joint(models[i]) is models[i]
-            except Exception as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
-        assert len(analytic._JOINT_CACHE) <= 4
-
-
 def _march_first_moments(params, l_resolve, k_top):
     """E[ell | k] for k = beta..k_top from full march levels.
 
@@ -878,16 +835,15 @@ def _march_first_moments(params, l_resolve, k_top):
     """
     from scipy.special import zeta
 
-    joint = build_joint_table(params)
+    weights = _quality_given_degree(params, k_top)
     support = [int(t) for t in params.quality.support]
     s = 2.0 + params.mu_over_beta
     march = NeighborMarch(params, l_resolve=l_resolve)
     z = zeta(s - 1.0, int(march.ells[-1]) + 1)
     out = []
     while True:
-        lvl = march.level()
-        w = np.repeat(joint.p_theta_given_k(march.k)[support], len(support))
-        out.append(w @ (lvl.probs @ march.ells + march.tail_amplitude() * z))
+        w = np.repeat(weights[march.k - params.beta], len(support))
+        out.append(w @ (march.level() @ march.ells + march.tail_amplitude() * z))
         if march.k == k_top:
             return np.array(out)
         march.advance()
@@ -979,6 +935,40 @@ class TestNeighborDegreeFirstMoment:
             neighbor_degree_first_moment(ba_params(2), 1)
 
 
+class TestQualityGivenDegree:
+    @pytest.mark.parametrize(
+        "beta, pmf",
+        [
+            (2, make_exponential(0.5, 16)),
+            (3, make_bernoulli(0.3, 16)),
+            (5, make_custom([0.5, 0, 0, 0, 0, 0.5])),
+        ],
+    )
+    def test_rows_are_the_normalized_joint_law(self, beta, pmf):
+        # the first row, the last row of the joint block, and a row past it
+        # (measured at most 7.4e-16)
+        params = ModelParams(beta=beta, quality=pmf)
+        support = [int(t) for t in pmf.support]
+        rows = _quality_given_degree(params, 2000)
+        assert rows.shape == (2001 - beta, len(support))
+        for k in (beta, beta + 1023, 2000):
+            want = np.array([joint_probability(params, k, t) for t in support])
+            np.testing.assert_allclose(rows[k - beta], want / want.sum(), rtol=1e-15, atol=0.0)
+
+    def test_degree_scan_builds_no_joint_table(self, monkeypatch):
+        # models no other test builds a table for, so no cache could hide a build
+        from qpanet import analytic, measures
+
+        def refuse(params):
+            raise AssertionError("a joint table was built")
+
+        monkeypatch.setattr(analytic, "build_joint_table", refuse)
+        c = measures.critical_values(ModelParams(beta=3, quality=make_exponential(0.37, 3)))
+        assert c.degree_mean is not None
+        d = neighbor_degree_dist(ModelParams(beta=2, quality=make_bernoulli(0.41, 3)), 5)
+        assert abs(d.probs.sum() + d.tail_mass - 1.0) < 1e-9
+
+
 class TestPinnedDegreeRow:
     @pytest.mark.parametrize(
         "beta, pmf", [(5, make_custom([0.5, 0, 0, 0, 0, 0.5])), (2, make_exponential(0.5, 4))]
@@ -995,11 +985,10 @@ class TestPinnedDegreeRow:
         from qpanet.measures import SCAN_CAP_DEFAULT, scan_cells
 
         params = ModelParams(beta=beta, quality=pmf)
-        joint = build_joint_table(params)
         depth = beta + SCAN_CAP_DEFAULT
         n_ell = scan_cells(params) if grid == "scan" else LAW_CELLS
         march = NeighborMarch(params, l_resolve=n_ell)
-        profile = DegreeProfile(params, joint)
+        profile = DegreeProfile(params)
         worst = 0.0
         while True:
             row, coef = profile._degree_row(march)
@@ -1049,17 +1038,16 @@ class TestPinnedDegreeRow:
         from qpanet.measures import scan_cells
 
         params = ModelParams(beta=beta, quality=pmf)
-        joint = build_joint_table(params)
-        support = [int(t) for t in pmf.support]
         k_top = 70
+        weights = _quality_given_degree(params, k_top)
         scan = NeighborMarch(params, l_resolve=scan_cells(params))
         full = NeighborMarch(params, l_resolve=DEFAULT_ELL_CAP - beta + 1)
         assert full.ells[-1] == DEFAULT_ELL_CAP
-        profile = DegreeProfile(params, joint)
+        profile = DegreeProfile(params)
         worst = 0.0
         while True:
             profile.add_level(scan)
-            row, _ = full.degree_row(joint.p_theta_given_k(full.k)[support])
+            row, _ = full.degree_row(weights[full.k - beta])
             worst = max(worst, abs(profile.means[-1] - float(full.ells @ row)))
             if scan.k == k_top:
                 break

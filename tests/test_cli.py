@@ -450,7 +450,7 @@ class TestHelp:
 
 class TestThreadsDefault:
     def test_env_var_default(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("GFP_THREADS", "2")
+        monkeypatch.setenv("QPANET_THREADS", "2")
         out = tmp_path / "out.csv"
         code, _, _ = run(
             [
@@ -489,34 +489,24 @@ class TestThreadsEnv:
         return code, err, seen
 
     def test_qpanet_threads_sets_default(self, capsys, monkeypatch):
-        monkeypatch.delenv("GFP_THREADS", raising=False)
         monkeypatch.setenv("QPANET_THREADS", "3")
         code, _, seen = self._threads_used(capsys, monkeypatch)
         assert (code, seen) == (0, [3])
 
-    def test_old_name_is_an_alias(self, capsys, monkeypatch):
-        monkeypatch.delenv("QPANET_THREADS", raising=False)
-        monkeypatch.setenv("GFP_THREADS", "2")
-        code, _, seen = self._threads_used(capsys, monkeypatch)
-        assert (code, seen) == (0, [2])
-
-    def test_new_name_wins_and_flag_wins_over_both(self, capsys, monkeypatch):
+    def test_flag_wins_over_env(self, capsys, monkeypatch):
         monkeypatch.setenv("QPANET_THREADS", "3")
-        monkeypatch.setenv("GFP_THREADS", "2")
-        assert self._threads_used(capsys, monkeypatch)[2] == [3]
         assert self._threads_used(capsys, monkeypatch, ["--threads", "1"])[2] == [1]
 
     def test_unset_or_blank_is_one_thread(self, capsys, monkeypatch):
         monkeypatch.delenv("QPANET_THREADS", raising=False)
-        monkeypatch.setenv("GFP_THREADS", " ")
+        assert self._threads_used(capsys, monkeypatch)[2] == [1]
+        monkeypatch.setenv("QPANET_THREADS", " ")
         code, _, seen = self._threads_used(capsys, monkeypatch)
         assert (code, seen) == (0, [1])
 
-    @pytest.mark.parametrize("name", ["QPANET_THREADS", "GFP_THREADS"])
+    @pytest.mark.parametrize("name", ["QPANET_THREADS"])
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_value_exits_2(self, name, value, capsys, monkeypatch):
-        monkeypatch.delenv("QPANET_THREADS", raising=False)
-        monkeypatch.delenv("GFP_THREADS", raising=False)
         monkeypatch.setenv(name, value)
         code, err, seen = self._threads_used(capsys, monkeypatch)
         assert code == 2

@@ -36,8 +36,8 @@ def exp_small():
 
 class TestCriticalValues:
     def test_all_zero_quality_has_no_quality_paradox(self, ba2):
-        params, joint = ba2
-        c = critical_values(params, joint=joint)
+        params, _ = ba2
+        c = critical_values(params)
         assert c.quality_mean is None
         assert c.quality_median is None
         assert c.baseline == "qpa"
@@ -45,8 +45,8 @@ class TestCriticalValues:
     def test_ba_degree_paradox_holds_at_beta(self, ba2):
         # frozen simulation fact: the mean neighbor degree of a degree-2
         # node in a degree-driven network is far above 2
-        params, joint = ba2
-        c = critical_values(params, joint=joint)
+        params, _ = ba2
+        c = critical_values(params)
         assert c.degree_mean is not None and c.degree_mean >= 2
         assert c.degree_median is not None and c.degree_median >= 2
 
@@ -85,8 +85,8 @@ class TestCriticalValues:
         # just above it (sampled via the public per-k distribution)
         from qpanet.analytic import neighbor_degree_dist
 
-        params, joint = exp_small
-        c = critical_values(params, joint=joint)
+        params, _ = exp_small
+        c = critical_values(params)
         k = c.degree_mean
         assert neighbor_degree_dist(params, k).mean > k
         for above in range(k + 1, k + 6):
@@ -94,7 +94,7 @@ class TestCriticalValues:
 
     def test_quality_critical_orders_against_baseline(self, exp_small):
         params, joint = exp_small
-        c = critical_values(params, joint=joint)
+        c = critical_values(params)
         u = uncorrelated_criticals(params, joint)
 
         def at_least(a, b):
@@ -180,7 +180,7 @@ class TestParadoxFractions:
 
     def test_fraction_is_cdf_evaluation(self, exp_small):
         params, joint = exp_small
-        c = critical_values(params, joint=joint)
+        c = critical_values(params)
         f = paradox_fractions(params, c, joint)
         direct_q = float(params.quality.probs[: c.quality_mean + 1].sum())
         assert f.quality_mean == pytest.approx(direct_q, abs=1e-12)
