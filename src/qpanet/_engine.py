@@ -14,7 +14,15 @@ each index.  The recurrence is linear and both j-sums share the
 prefactor, so their sum is marched as one table: marching k upward
 costs one running cumulative sum over the ell axis per step and per
 ordered quality pair, which is how this module evaluates the
-distribution for every ell at once.
+distribution for every ell at once.  A march may take only some focal
+qualities theta (``focal``), pairing each with every neighbor quality
+phi: ``write_nn_table`` marches one.
+
+The j-sums' weights enter as cumulative sums over j of gamma ratios
+G(j + A) / G(j + B), G the gamma function.  The sum telescopes, so each
+pair's cumulative weights are a closed form in one cumulative sum of
+``log1p`` terms (``NeighborMarch._ln_cum_weights``), not a running
+log-sum.
 
 Values along a row span hundreds of orders of magnitude, so the ell
 axis is cut into equal blocks of ``_BLOCK`` cells, each held in linear
@@ -111,11 +119,14 @@ class _ScaledRows:
 class NeighborMarch:
     """Iterates focal degree k, yielding resolved P(ell, phi | k, theta).
 
-    ``pairs`` enumerates ordered (theta, phi) over the support of the
-    quality distribution; the rows of ``level()`` follow that order.  The
-    resolved ell grid is ``beta .. beta + n_ell - 1``; mass beyond it
-    follows the power-law tail ``ell**-(2 + mu/beta)``, whose amplitude
-    ``tail_amplitude()`` gives in closed form per pair.
+    ``pairs`` enumerates ordered (theta, phi), theta over ``focal`` (by
+    default the support of the quality distribution) and phi over the
+    support; the rows of ``level()`` follow that order.  Every step works
+    on each pair's row alone, so a march of fewer focal qualities gives
+    their rows bit for bit as the full march does.  The resolved ell grid
+    is ``beta .. beta + n_ell - 1``; mass beyond it follows the power-law
+    tail ``ell**-(2 + mu/beta)``, whose amplitude ``tail_amplitude()``
+    gives in closed form per pair.
 
     The state is one j-sum table, the sum of the two j-sums of the
     closed form, held cell-major as ``[_BLOCK, blocks, n_pairs]``: the
@@ -125,12 +136,15 @@ class NeighborMarch:
     of the full table, with no tail; ``degree_row(w)`` contracts the
     pairs with per-theta weights before any cell is materialized and
     adds that one row's tail model (``power_tail_fit``).  A read that
-    leaves float range raises ``NonConvergenceError``.  The weights and
-    gamma lattices cover the grid at first and double whenever
-    ``advance`` passes their end.
+    leaves float range raises ``NonConvergenceError``.  The cumulative
+    pair weights are in closed form (``_ln_cum_weights``); the S2 half
+    starts from the swapped pairs' weights, computed once with the
+    marched pairs' at set-up.  The marched pairs' weights and the gamma
+    lattices cover the grid at first and double whenever ``advance``
+    passes their end.
     """
 
-    def __init__(self, params, l_resolve: int):
+    def __init__(self, params, l_resolve: int, focal=None):
         beta = params.beta
         g = params.mu_over_beta
         support = [int(t) for t in params.quality.support]
@@ -139,7 +153,8 @@ class NeighborMarch:
         self.beta = beta
         self.g = g
         self.support = support
-        self.pairs = [(t, f) for t in support for f in support]
+        focal = support if focal is None else [int(t) for t in focal]
+        self.pairs = [(t, f) for t in focal for f in support]
         self.n_pairs = len(self.pairs)
         self.n_ell = int(l_resolve)
         self.ells = beta + np.arange(self.n_ell)
@@ -154,23 +169,31 @@ class NeighborMarch:
         self._theta_of_pair = theta_arr
         self._phi_of_pair = phi_arr
         # gamma lattices, frac[m] = lnGamma(m + 2 + g) and integer[m] =
-        # lnGamma(m), and the cumulative pair weights, each grown on demand
+        # lnGamma(m), grown on demand
         self._glf = np.empty(0)
         self._gli = np.array([np.inf])
-        self._ln_cumw = np.empty((self.n_pairs, 0))
-        self._extend_weights(n_pad)
+        self._extend_lattices(n_pad)
 
-        pair_pos = {pair: p for p, pair in enumerate(self.pairs)}
-        swap = [pair_pos[(f, t)] for (t, f) in self.pairs]
         # one row per pair (theta, phi) holds T = S1 + S2.  S1 uses the pair's
         # own weights, is empty at level beta and is seeded at entry 0 every
         # level; S2 uses the swapped pair's weights, starts at level beta as
         # the running weight sum over j <= ell and is never seeded (its entry
         # 0 stays zero).  The recurrence is linear and both halves share one
-        # prefactor, so their sum is marched and read as one table.
+        # prefactor, so their sum is marched and read as one table.  The
+        # weights are computed once for the marched pairs and their swaps;
+        # only the marched pairs' are grown on demand
+        both = list(dict.fromkeys(self.pairs + [(f, t) for (t, f) in self.pairs]))
+        pos = {pair: i for i, pair in enumerate(both)}
+        swap = [pos[(f, t)] for (t, f) in self.pairs]
+        ln_cumw, d_end = self._ln_cum_weights(
+            np.array([t for (t, _) in both]), np.array([f for (_, f) in both]), 0, n_pad, 0.0
+        )
         init = np.full((self.n_pairs, n_pad), -np.inf)
-        init[:, 1:] = self._ln_cumw[swap][:, : n_pad - 1]
+        init[:, 1:] = ln_cumw[swap, : n_pad - 1]
         self._state = _ScaledRows(init)
+        # the marched pairs come first in ``both``
+        self._ln_cumw = ln_cumw[: self.n_pairs]
+        self._d_end = d_end[: self.n_pairs]
 
         with np.errstate(divide="ignore"):
             ln_rho_phi = np.log(probs_q[phi_arr])
@@ -197,36 +220,55 @@ class NeighborMarch:
         self._s_vals, self._s_idx = np.unique(s, return_inverse=True)
         self._ell_cells = ell_cells
 
-    def _extend_weights(self, j_count: int) -> None:
-        """Cumulative pair weights over j = beta+1 .. beta+j_count, lattices to match.
-
-        Continues the running log-sum from its last column, so every
-        value is the one a single pass over the whole range gives.
-        """
-        beta, g = self.beta, self.g
+    def _extend_lattices(self, j_count: int) -> None:
+        """Grow the gamma lattices to every index read up to focal degree beta + j_count."""
         tmax = self.params.quality.theta_max
-        # the lattices reach every index the weights and readers take up to
-        # focal degree beta + j_count
-        m_top = j_count + 2 * beta + self._n_pad + 4 * tmax + 17
+        m_top = j_count + 2 * self.beta + self._n_pad + 4 * tmax + 17
         glf, gli = self._glf, self._gli
         self._glf = np.concatenate(
-            (glf, _ln_gamma_raw(np.arange(glf.size, m_top, dtype=float) + 2.0 + g))
+            (glf, _ln_gamma_raw(np.arange(glf.size, m_top, dtype=float) + 2.0 + self.g))
         )
         self._gli = np.concatenate((gli, _ln_gamma_raw(np.arange(gli.size, m_top, dtype=float))))
 
-        theta, phi = self._theta_of_pair, self._phi_of_pair
-        j_old = self._ln_cumw.shape[1]
-        j = beta + 1 + np.arange(j_old, j_count)
-        lnw = (
-            self._glf[j[None, :] + (theta + beta + phi)[:, None]]
-            - self._glf[j[None, :] + theta[:, None]]
-            - self._glf[beta + phi][:, None]
+    def _ln_cum_weights(self, theta, phi, j_lo: int, j_hi: int, d_lo):
+        """ln of the cumulative pair weights, columns j_lo .. j_hi - 1, and D at the last.
+
+        Column i sums w(j) = G(j + A) / (G(j + B) G(beta + phi + 2 + g)) over
+        j = j0 .. J, j0 = beta + 1, J = j0 + i, A = theta + beta + phi + 2 + g
+        and B = theta + 2 + g (G the gamma function).  The sum telescopes:
+        with f(j) = G(j + A) / G(j + B - 1), f(j + 1) - f(j) = (A - B + 1)
+        G(j + A) / G(j + B), so it is [f(J + 1) - f(j0)] / (beta + phi + 1).
+        D(J) = ln f(J + 1) - ln f(j0) is one cumulative sum of
+        log1p((beta + phi + 1) / (j + theta + 1 + g)), continued from
+        ``d_lo``, the D of column j_lo - 1 (0 for j_lo = 0), so grown
+        columns are the ones a single pass gives.  Rows follow ``theta``
+        and ``phi``.
+        """
+        beta, g, glf = self.beta, self.g, self._glf
+        c = phi + (beta + 1.0)
+        d = np.arange(j_lo, j_hi, dtype=float) + (theta + (beta + 2.0 + g))[:, None]
+        np.divide(c[:, None], d, out=d)
+        np.log1p(d, out=d)
+        d[:, 0] += d_lo
+        np.cumsum(d, axis=1, out=d)
+        # ln(1 - e^-D) + D + ln f(j0) - ln(beta + phi + 1) - lnG(beta + phi + 2 + g)
+        ln_w = np.negative(d)
+        np.expm1(ln_w, out=ln_w)
+        np.negative(ln_w, out=ln_w)
+        np.log(ln_w, out=ln_w)
+        ln_w += d
+        ln_w += (
+            glf[2 * beta + 1 + theta + phi] - glf[beta + theta] - np.log(c) - glf[beta + phi]
+        )[:, None]
+        return ln_w, d[:, -1].copy()
+
+    def _extend_weights(self, j_count: int) -> None:
+        """Marched pairs' cumulative weights to j = beta+1 .. beta+j_count, lattices to match."""
+        self._extend_lattices(j_count)
+        cols, self._d_end = self._ln_cum_weights(
+            self._theta_of_pair, self._phi_of_pair, self._ln_cumw.shape[1], j_count, self._d_end
         )
-        if j_old:
-            lnw[:, 0] = np.logaddexp(self._ln_cumw[:, -1], lnw[:, 0])
-        self._ln_cumw = np.concatenate(
-            (self._ln_cumw, np.logaddexp.accumulate(lnw, axis=1)), axis=1
-        )
+        self._ln_cumw = np.concatenate((self._ln_cumw, cols), axis=1)
 
     def _log_scale(self) -> np.ndarray:
         """State offset plus log prefactor at each block's last cell, per (block, pair).
@@ -269,7 +311,7 @@ class NeighborMarch:
         return self._trim(probs.transpose(2, 1, 0), "neighbor law")
 
     def level(self) -> np.ndarray:
-        """The resolved P(ell, phi | k, theta) at the march's k, as [n_pairs, n_ell]."""
+        """The resolved P(ell, phi | k, theta) at the march's k, [n_pairs, n_ell] in pair order."""
         return self._make_level()
 
     def tail_amplitude(self) -> np.ndarray:
@@ -296,7 +338,7 @@ class NeighborMarch:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(sum over pairs of w[theta] P(ell, phi | k, theta), its tail model).
 
-        ``w_theta`` weights the supported qualities in order.  Each
+        ``w_theta`` weights the focal qualities in order.  Each
         (block, pair) of the j-sum state gets one scalar (weight times
         the log scale, normalized per block) and one ``einsum`` over the
         pairs supplies the carried prefactor ratio per cell.  Returns the

@@ -143,6 +143,13 @@ def _check_quality_index(params: ModelParams, value: int, name: str) -> int:
     return int(value)
 
 
+def _check_degree(params: ModelParams, value, name: str) -> int:
+    beta = params.beta
+    if not (math.isfinite(value) and int(value) == value and value >= beta):
+        raise DomainError(f"{name} must be an integer >= beta = {beta}, got {value}")
+    return int(value)
+
+
 def joint_probability(params: ModelParams, k: int, theta: int) -> float:
     """Stationary fraction of nodes with degree ``k`` and quality ``theta``.
 
@@ -262,11 +269,9 @@ def nn_probability(
 
     theta = _check_quality_index(params, theta, "theta")
     phi = _check_quality_index(params, phi, "phi")
+    k = _check_degree(params, k, "focal degree k")
+    ell = _check_degree(params, ell, "neighbor degree ell")
     beta = params.beta
-    if k < beta:
-        raise DomainError(f"focal degree k must be >= beta = {beta}, got {k}")
-    if ell < beta:
-        raise DomainError(f"neighbor degree ell must be >= beta = {beta}, got {ell}")
     rho_phi = params.quality.probs[phi]
     if rho_phi == 0.0:
         return 0.0
@@ -638,10 +643,7 @@ def neighbor_degree_dist(params: ModelParams, k: int) -> NeighborDist:
     NonConvergenceError
         If the median lies past the resolved support (large ``beta``).
     """
-    beta = params.beta
-    if int(k) != k or k < beta:
-        raise DomainError(f"k must be an integer >= beta = {beta}, got {k}")
-    k = int(k)
+    k = _check_degree(params, k, "k")
     if k > DEFAULT_K_CAP:
         raise DomainError(f"k = {k} beyond the degree cap {DEFAULT_K_CAP}")
     march = NeighborMarch(params, l_resolve=LAW_CELLS)
@@ -673,42 +675,41 @@ def write_nn_table(
     ``# tail_mass=…`` followed by the header ``ell,phi,prob``.  The law
     of (ell, phi) sums to 1 exactly, so ``tail_mass``, the mass of the
     rows not dumped, is 1 less the dumped probabilities (at least 0).
+    Only the pairs of the focal quality ``theta`` are marched.
 
     Raises
     ------
     DomainError
-        If ``k < beta`` or ``k > DEFAULT_K_CAP``.
+        If ``k < beta``, ``k > DEFAULT_K_CAP`` or ``l_max < beta`` (no
+        row to dump).
     """
     theta = _check_quality_index(params, theta, "theta")
     beta = params.beta
-    if int(k) != k or k < beta:
-        raise DomainError(f"k must be an integer >= beta = {beta}, got {k}")
-    k = int(k)
+    k = _check_degree(params, k, "k")
     if k > DEFAULT_K_CAP:
         raise DomainError(f"k = {k} beyond the degree cap {DEFAULT_K_CAP}")
+    if l_max < beta:
+        raise DomainError(f"l_max = {l_max} below beta = {beta}: no neighbor degree to dump")
     support = [int(t) for t in params.quality.support]
     if theta not in support:
         raise UndefinedConditionalError(
             f"quality {theta} has zero probability; conditional undefined"
         )
-    ti = support.index(theta)
-    march = NeighborMarch(params, l_resolve=max(l_max - beta + 1, 64))
+    march = NeighborMarch(params, l_resolve=max(l_max - beta + 1, 64), focal=[theta])
     while march.k < k:
         march.advance()
-    n_s = len(support)
-    block = march.level().reshape(n_s, n_s, -1)[ti]  # [phi, ell]
-    ells = march.ells
-    keep = ells <= l_max
-    tail_dump = max(1.0 - float(block[:, keep].sum()), 0.0)
+    keep = march.ells <= l_max
+    block = march.level()[:, keep]  # [phi, ell]
+    tail_dump = max(1.0 - float(block.sum()), 0.0)
+    n_s, n_rows = len(support), block.size
+    cells = [None] * (3 * n_rows)
+    cells[0::3] = np.repeat(march.ells[keep], n_s).tolist()
+    cells[1::3] = support * (n_rows // n_s)
+    cells[2::3] = block.T.ravel().tolist()
     fh.write(f"# beta={beta}\n")
     fh.write(f"# k={k}\n")
     fh.write(f"# theta={theta}\n")
     fh.write(f"# tail_mass={tail_dump:.9e}\n")
     fh.write("ell,phi,prob\n")
-    fh.write(
-        "".join(
-            f"{ell},{phi},{p:.12e}\n"
-            for ell, row in zip(ells[keep].tolist(), block[:, keep].T.tolist())
-            for phi, p in zip(support, row)
-        )
-    )
+    # one C-level format; %.12e prints as {:.12e}
+    fh.write(("%d,%d,%.12e\n" * n_rows) % tuple(cells))

@@ -253,6 +253,22 @@ class TestNnProbability:
         with pytest.raises(DomainError):
             nn_probability(params, 3, 9, 3, 0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: nn_probability(p, 10.5, 0, 9, 0),
+            lambda p: nn_probability(p, 10, 0, 9.5, 0),
+            lambda p: nn_probability(p, math.inf, 0, 9, 0),
+            lambda p: neighbor_degree_dist(p, 10.5),
+            lambda p: write_nn_table(p, 10.5, 0, io.StringIO(), l_max=64),
+        ],
+        ids=["nn-k", "nn-ell", "nn-inf", "degree-dist", "nn-table"],
+    )
+    def test_non_integer_degree_refused(self, call):
+        params = ModelParams(beta=8, quality=make_exponential(0.5, 4))
+        with pytest.raises(DomainError, match="must be an integer >= beta = 8"):
+            call(params)
+
     def test_zero_probability_neighbor_quality(self):
         params = ModelParams(beta=2, quality=make_bernoulli(0.5, 6))
         assert nn_probability(params, 4, 0, 4, 3) == 0.0
@@ -824,6 +840,124 @@ class TestNnTableDump:
         tail = float(lines[3].split("=")[1])
         total = sum(float(ln.split(",")[2]) for ln in lines[5:])
         assert abs(total + tail - 1.0) < 1e-6
+
+    def test_l_max_below_beta_raises(self):
+        # no neighbor degree at or below l_max: refused, not an empty table
+        params = ModelParams(beta=8, quality=make_exponential(0.5, 4))
+        with pytest.raises(DomainError, match="l_max = 5 below beta = 8"):
+            write_nn_table(params, 8, 0, io.StringIO(), l_max=5)
+        buf = io.StringIO()
+        write_nn_table(params, 8, 0, buf, l_max=8)
+        assert [ln.split(",")[:2] for ln in buf.getvalue().splitlines()[5:]] == [
+            ["8", str(phi)] for phi in range(5)
+        ]
+
+
+def _dump_from_full_march(params, k, theta, l_max):
+    """write_nn_table's text, built from a march over every quality pair.
+
+    Cell by cell with ``str.format``: the reference for the focal march
+    and for the one ``%`` format the dump is written with.
+    """
+    support = [int(t) for t in params.quality.support]
+    n_s = len(support)
+    march = NeighborMarch(params, l_resolve=max(l_max - params.beta + 1, 64))
+    while march.k < k:
+        march.advance()
+    block = march.level().reshape(n_s, n_s, -1)[support.index(theta)]
+    keep = march.ells <= l_max
+    tail = max(1.0 - float(block[:, keep].sum()), 0.0)
+    head = f"# beta={params.beta}\n# k={k}\n# theta={theta}\n# tail_mass={tail:.9e}\n"
+    return head + "ell,phi,prob\n" + "".join(
+        f"{ell},{phi},{p:.12e}\n"
+        for ell, row in zip(march.ells[keep].tolist(), block[:, keep].T.tolist())
+        for phi, p in zip(support, row)
+    )
+
+
+def _cum_weights_mpmath(params, theta, phi, n_cols):
+    """ln sum_{j=beta+1..beta+1+i} G(j+A)/(G(j+B) G(beta+phi+2+g)), i < n_cols, at 40 digits.
+
+    A = theta + beta + phi + 2 + g and B = theta + 2 + g (G the gamma
+    function), summed term by term with each term the last times
+    (j + A)/(j + B); g is the float the program reads.
+    """
+    beta = params.beta
+    with mpmath.workdps(40):
+        g = mpmath.mpf(params.mu_over_beta)
+        a, b = theta + beta + phi + 2 + g, theta + 2 + g
+        j = beta + 1
+        term = mpmath.exp(
+            mpmath.loggamma(j + a) - mpmath.loggamma(j + b) - mpmath.loggamma(beta + phi + 2 + g)
+        )
+        total, out = mpmath.mpf(0), []
+        for _ in range(n_cols):
+            total += term
+            out.append(mpmath.log(total))
+            term *= (j + a) / (j + b)
+            j += 1
+    return out
+
+
+class TestFocalMarch:
+    @settings(max_examples=25, deadline=None)
+    @given(weights=_weights, beta=st.integers(1, 8), pick=st.integers(0, 16))
+    @example(weights=[0.5, 0, 0, 0, 0, 0.5], beta=5, pick=1)
+    @example(weights=[1.0], beta=2, pick=0)
+    def test_focal_rows_equal_full_march(self, weights, beta, pick):
+        # a march of one focal quality against the theta rows of the march
+        # over every pair, bit for bit, on a 64-cell grid whose weights
+        # double at k = beta + 65; and write_nn_table against the dump the
+        # full march gives, byte for byte
+        params = ModelParams(beta=beta, quality=make_custom(weights))
+        support = [int(t) for t in params.quality.support]
+        n_s = len(support)
+        theta = support[pick % n_s]
+        l_max = beta + 40
+        focal = NeighborMarch(params, l_resolve=64, focal=[theta])
+        full = NeighborMarch(params, l_resolve=64)
+        assert focal.pairs == [(theta, phi) for phi in support]
+        for k in (beta, beta + 1, beta + 7, beta + 70):
+            while full.k < k:
+                full.advance()
+                focal.advance()
+            want = full.level().reshape(n_s, n_s, -1)[support.index(theta)]
+            np.testing.assert_array_equal(focal.level(), want)
+            buf = io.StringIO()
+            write_nn_table(params, k, theta, buf, l_max=l_max)
+            assert buf.getvalue() == _dump_from_full_march(params, k, theta, l_max)
+        assert focal._ln_cumw.shape[1] == 128
+
+
+class TestPairWeights:
+    @pytest.mark.parametrize(
+        "beta, pmf",
+        [
+            (2, make_exponential(0.5, 4)),
+            (1, make_custom([0.5, 0, 0, 0, 0, 0.5])),
+            (8, make_exponential(1.3, 8)),
+            (5, make_custom([0.2, 0, 0.3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.5])),
+        ],
+    )
+    def test_cumulative_weights_against_mpmath(self, beta, pmf):
+        # the telescoped closed form, grown 64 -> 2048 columns along the
+        # march, against the term-by-term sum at 40 digits: every column of
+        # the corner pairs and one inside, within 1e-12 relative (measured
+        # 3.7e-13; the running log-sum it replaced read 4.7e-13)
+        params = ModelParams(beta=beta, quality=pmf)
+        march = NeighborMarch(params, l_resolve=64)
+        while march.k < beta + 1100:
+            march.advance()
+        ln_cumw = march._ln_cumw
+        assert ln_cumw.shape[1] == 2048
+        support = [int(t) for t in pmf.support]
+        mid = support[len(support) // 2]
+        picks = {(t, f) for t in (support[0], support[-1]) for f in (support[0], support[-1])}
+        for theta, phi in sorted(picks | {(mid, support[0])}):
+            got = ln_cumw[march.pairs.index((theta, phi))]
+            want = _cum_weights_mpmath(params, theta, phi, got.size)
+            rel = max(abs(float(mpmath.expm1(mpmath.mpf(x) - w))) for x, w in zip(got, want))
+            assert rel < 1e-12, (theta, phi, rel)
 
 
 def _march_first_moments(params, l_resolve, k_top):

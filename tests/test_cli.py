@@ -428,6 +428,17 @@ class TestNnTableCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_l_max_below_beta_exits_2(self, tmp_path, capsys):
+        # no neighbor degree at or below --l-max: refused, and no table written
+        out = tmp_path / "nn.csv"
+        argv = ["nn-table", "--beta", "8", "--family", "exponential", "--q", "0.5"]
+        argv += ["--theta-max", "4", "--k", "8", "--theta", "0", "--l-max", "5"]
+        code, _, err = run(argv + ["-o", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "l_max = 5 below beta = 8" in err
+        assert not out.exists()
+
+
 class TestValidateCommand:
     def test_quick_passes_fast(self, capsys):
         import time

@@ -265,3 +265,25 @@ class TestSweepCsv:
         buf = io.StringIO()
         write_sweep_csv(rows, buf)
         assert len(buf.getvalue().splitlines()) == 1 + 4
+
+    def test_reference_rows_verbatim(self, exponential_sweep):
+        # the benchmark's 120 reference rows (perfbench/sweep_reference.csv,
+        # read, never written) are a subset of the shared sweep fixture's
+        # grid, each to the last printed digit
+        from pathlib import Path
+
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "sweep_reference.csv"
+        with open(reference, encoding="utf-8") as fh:
+            want = fh.read().splitlines()
+        buf = io.StringIO()
+        write_sweep_csv(exponential_sweep, buf)
+        got = buf.getvalue().splitlines()
+        assert want[0] == got[0] == SWEEP_CSV_HEADER
+        assert len(want) == 1 + 120
+        by_point = {tuple(line.split(",")[:4]): line for line in got[1:]}
+        differing = [
+            f"reference {line!r}\n    sweep {by_point.get(tuple(line.split(',')[:4]))!r}"
+            for line in want[1:]
+            if by_point.get(tuple(line.split(",")[:4])) != line
+        ]
+        assert not differing, "rows differing from the reference:\n" + "\n".join(differing)
