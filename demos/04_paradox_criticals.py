@@ -10,7 +10,6 @@ same marginals but makes neighbors independent of the node.
 
 from qpanet import (
     ModelParams,
-    build_joint_table,
     critical_values,
     make_exponential,
     paradox_fractions,
@@ -24,10 +23,9 @@ def show(x):
 
 for q in (0.5, 1.5):
     params = ModelParams(beta=2, quality=make_exponential(q, 16))
-    joint = build_joint_table(params)
     qpa = critical_values(params)
-    unc = uncorrelated_criticals(params, joint)
-    fr = paradox_fractions(params, qpa, joint)
+    unc = uncorrelated_criticals(params)
+    fr = paradox_fractions(params, qpa)
     print(f"=== exponential q={q}, theta_max=16, beta=2 ===")
     print(f"                      model   uncorrelated")
     print(f"critical quality (mean):   {show(qpa.quality_mean):>3}    {show(unc.quality_mean):>3}")

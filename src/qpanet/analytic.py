@@ -12,6 +12,7 @@ unbounded degree sums.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -85,9 +86,9 @@ class JointTable:
     Rows cover degrees ``beta .. k_max``; columns qualities
     ``0 .. theta_max``.  ``tail_mass`` is the exact probability beyond
     ``k_max`` (per quality in ``tail_by_theta``), ``mean_degree`` the
-    exact mean 2 beta; the median follows the CDF >= 1/2 convention.
-    The degree scan does not read it: it takes P(theta | k) from the
-    closed form (``_quality_given_degree``).
+    exact mean 2 beta; the median (CDF >= 1/2) is ``_degree_median``'s, with
+    no block limit.  The degree scan and the sweep read no table: they take
+    P(theta | k) and the degree CDF from the closed form.
     """
 
     params: ModelParams
@@ -213,38 +214,40 @@ def _joint_tail(params: ModelParams, k: int) -> np.ndarray:
         )
 
 
+def _degree_cdf(params: ModelParams, k: int) -> float:
+    """P(degree <= k), one less the closed-form tail ``_joint_tail``."""
+    return 1.0 - float(_joint_tail(params, k).sum())
+
+
+def _degree_median(params: ModelParams) -> int:
+    """Least degree whose CDF reaches 1/2 (less 1e-12): a bracket doubled from beta, bisected."""
+    target = 0.5 - 1e-12
+    lo = hi = params.beta
+    while _degree_cdf(params, hi) < target:
+        lo, hi = hi + 1, 2 * hi
+    ks = range(lo, hi + 1)
+    return ks[bisect.bisect_left(ks, target, key=lambda k: _degree_cdf(params, k))]
+
+
 def build_joint_table(params: ModelParams) -> JointTable:
     """Tabulate P(k, theta) for degrees beta .. beta + JOINT_ROWS - 1.
 
     Everything past the block is taken from the closed form: the mass
-    beyond ``k_max`` per quality from ``_joint_tail``, and the mean
-    degree, exactly 2 beta since every arrival adds beta links.  The
-    median is read from the block's CDF.
-
-    Raises
-    ------
-    NonConvergenceError
-        If the block holds less than half the mass, so the median lies
-        past it.
+    beyond ``k_max`` per quality from ``_joint_tail``, the mean degree,
+    exactly 2 beta since every arrival adds beta links, and the median
+    (``_degree_median``).
     """
     beta = params.beta
     k_max = beta + JOINT_ROWS - 1
     probs = _joint_rows(params, beta, k_max)
-    ks = beta + np.arange(JOINT_ROWS)
     tail_by_theta = _joint_tail(params, k_max)
-    marginal = probs.sum(axis=1)
-    i = int(np.searchsorted(np.cumsum(marginal), 0.5 - 1e-12))
-    if i == JOINT_ROWS:
-        raise NonConvergenceError(
-            f"degree median lies past the {JOINT_ROWS}-row joint block"
-        )
     return JointTable(
         params=params,
-        k_values=ks,
+        k_values=beta + np.arange(JOINT_ROWS),
         probs=probs,
-        degree_marginal=marginal,
+        degree_marginal=probs.sum(axis=1),
         mean_degree=2.0 * beta,
-        median_degree=int(ks[i]),
+        median_degree=_degree_median(params),
         tail_mass=float(tail_by_theta.sum()),
         tail_by_theta=tail_by_theta,
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -39,6 +40,17 @@ EXIT_NONCONVERGENCE = 3
 EXIT_PARSE = 4
 
 
+def _finite(text: str) -> float:
+    """One grid value: a finite float, else ``DomainError``."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise DomainError(f"grid value must be a number, got {text!r}") from None
+    if not math.isfinite(v):
+        raise DomainError(f"grid value must be finite, got {text!r}")
+    return v
+
+
 def _parse_grid(text: str) -> list[float]:
     """Parse ``lo:hi:step`` ranges (inclusive within 1e-12) or comma lists."""
     text = text.strip()
@@ -46,7 +58,7 @@ def _parse_grid(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise DomainError(f"range must be lo:hi:step, got {text!r}")
-        lo, hi, step = (float(p) for p in parts)
+        lo, hi, step = (_finite(p) for p in parts)
         if step <= 0:
             raise DomainError(f"range step must be positive, got {step}")
         out = []
@@ -57,7 +69,7 @@ def _parse_grid(text: str) -> list[float]:
             i += 1
             v = lo + i * step
         return out
-    return [float(p) for p in text.split(",") if p.strip() != ""]
+    return [_finite(p) for p in text.split(",") if p.strip() != ""]
 
 
 def _parse_int_list(text: str, name: str) -> list[int]:

@@ -14,7 +14,6 @@ mean/median" of the attribute itself.
 from __future__ import annotations
 
 import concurrent.futures
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,12 +89,6 @@ class SweepRow:
     uncorrelated: Criticals | None = None
     fractions: Fractions | None = None
     error: str | None = None
-
-
-def _largest_below(values, bound, eps=_TIE_EPS):
-    """Largest element of ``values`` strictly below ``bound`` (ties fail)."""
-    qualifying = [int(v) for v in values if v < bound - eps]
-    return max(qualifying) if qualifying else None
 
 
 def scan_cells(params: ModelParams) -> int:
@@ -187,41 +180,36 @@ def critical_values(params: ModelParams, scan_cap: int = SCAN_CAP_DEFAULT) -> Cr
     )
 
 
-def uncorrelated_criticals(params: ModelParams, joint: analytic.JointTable) -> Criticals:
+def uncorrelated_criticals(params: ModelParams) -> Criticals:
     """Critical values when neighbor attributes are independent of the node.
 
     With independent neighbors the mean/median neighbor attribute is the
     unconditional mean/median, so each critical value reduces to the
     largest support value strictly below that statistic (on a contiguous
-    integer support, "statistic minus one").
+    integer support, "statistic minus one").  The degree mean is exactly
+    the integer 2 beta and the median comes from the closed-form CDF
+    (``analytic._degree_median``); a degree critical must be >= beta.
     """
     pmf = params.quality
     support = [int(t) for t in pmf.support]
-    q_mean = _largest_below(support, pmf.mean)
-    q_median = _largest_below(support, pmf.median)
+    q_mean = max((t for t in support if t < pmf.mean - _TIE_EPS), default=None)
+    q_median = max((t for t in support if t < pmf.median), default=None)
     beta = params.beta
+    m = analytic._degree_median(params)
     return Criticals(
         quality_mean=q_mean,
         quality_median=q_median,
-        degree_mean=_int_below(joint.mean_degree, beta),
-        degree_median=_int_below(joint.median_degree, beta),
+        degree_mean=2 * beta - 1,
+        degree_median=m - 1 if m - 1 >= beta else None,
         baseline="uncorrelated",
     )
 
 
-def _int_below(value: float, floor: int):
-    """Largest integer >= floor strictly below ``value`` (ties fail)."""
-    c = int(math.ceil(value - _TIE_EPS)) - 1
-    return c if c >= floor else None
-
-
-def paradox_fractions(
-    params: ModelParams, criticals: Criticals, joint: analytic.JointTable
-) -> Fractions:
+def paradox_fractions(params: ModelParams, criticals: Criticals) -> Fractions:
     """Fraction of nodes at or below each critical value.
 
     Quality fractions sum the quality PMF up to the critical quality;
-    degree fractions sum the degree marginal up to the critical degree.
+    degree fractions are the closed-form degree CDF at the critical degree.
     An absent critical value contributes a fraction of zero.
     """
     pmf = params.quality
@@ -232,12 +220,9 @@ def paradox_fractions(
         return float(pmf.probs[: c + 1].sum())
 
     def k_frac(c):
-        if c is None:
+        if c is None or c < params.beta:
             return 0.0
-        i = c - params.beta
-        if i < 0:
-            return 0.0
-        return float(joint.degree_marginal[: i + 1].sum())
+        return analytic._degree_cdf(params, c)
 
     return Fractions(
         quality_mean=q_frac(criticals.quality_mean),
@@ -251,11 +236,10 @@ def _sweep_point(family, x, beta, theta_max) -> SweepRow:
     row = SweepRow(family=family, x=float(x), beta=int(beta), theta_max=int(theta_max))
     try:
         params = ModelParams(beta=beta, quality=make_family(family, x, theta_max))
-        joint = analytic.build_joint_table(params)
         qpa = critical_values(params)
         row.qpa = qpa
-        row.uncorrelated = uncorrelated_criticals(params, joint)
-        row.fractions = paradox_fractions(params, qpa, joint)
+        row.uncorrelated = uncorrelated_criticals(params)
+        row.fractions = paradox_fractions(params, qpa)
     except QpanetError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
     return row

@@ -19,6 +19,8 @@ from qpanet.analytic import (
     DEFAULT_ELL_CAP,
     ModelParams,
     QualityAggregate,
+    _degree_cdf,
+    _degree_median,
     _degree_stats,
     _joint_rows,
     _joint_tail,
@@ -634,6 +636,20 @@ class TestJointTail:
         assert np.all(near_tail[rho == 0.0] == 0.0)
 
 
+class TestDegreeMarginal:
+    @settings(max_examples=40, deadline=None)
+    @given(weights=_weights, beta=st.integers(1, 16))
+    @example(weights=[1.0], beta=2)
+    def test_closed_form_cdf_and_median_match_the_block(self, weights, beta):
+        # the degree CDF from the telescoped tail against the cumulative sum
+        # of the joint rows it stands for, at every row of a 1024-degree block
+        params = ModelParams(beta=beta, quality=make_custom(weights))
+        cdf = np.cumsum(_joint_rows(params, beta, beta + 1023).sum(axis=1))
+        closed = np.array([_degree_cdf(params, beta + i) for i in range(cdf.size)])
+        assert np.max(np.abs(closed - cdf)) <= 1e-13
+        assert _degree_median(params) == beta + int(np.searchsorted(cdf, 0.5 - 1e-12))
+
+
 class TestQualityLaw:
     @settings(max_examples=60, deadline=None)
     @given(weights=_weights, beta=st.integers(1, 8))
@@ -1101,6 +1117,8 @@ class TestQualityGivenDegree:
         assert c.degree_mean is not None
         d = neighbor_degree_dist(ModelParams(beta=2, quality=make_bernoulli(0.41, 3)), 5)
         assert abs(d.probs.sum() + d.tail_mass - 1.0) < 1e-9
+        (row,) = measures.sweep("exponential", [0.53], [3], [5])
+        assert row.error is None and row.uncorrelated.degree_median is not None
 
 
 class TestPinnedDegreeRow:

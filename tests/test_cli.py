@@ -66,6 +66,10 @@ class TestSweepCommand:
         # each bad grid input is rejected before the sweep starts
         for flag, value in [
             ("--q", "-1"),
+            ("--q", "inf"),
+            ("--q", "0.5,inf"),
+            ("--q", "1:inf:1"),
+            ("--q", "abc"),
             ("--beta", "0"),
             ("--beta", "2.5"),
             ("--theta-max", "0"),

@@ -1,9 +1,10 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
 
-from qpanet.analytic import ModelParams, build_joint_table
+from qpanet.analytic import ModelParams, _joint_rows, build_joint_table
 from qpanet.errors import DomainError
 from qpanet.measures import (
     SCAN_CELLS,
@@ -22,21 +23,17 @@ from qpanet.quality import make_bernoulli, make_custom, make_exponential
 
 @pytest.fixture(scope="module")
 def ba2():
-    params = ModelParams(beta=2, quality=make_bernoulli(1.0, 8))
-    joint = build_joint_table(params)
-    return params, joint
+    return ModelParams(beta=2, quality=make_bernoulli(1.0, 8))
 
 
 @pytest.fixture(scope="module")
 def exp_small():
-    params = ModelParams(beta=2, quality=make_exponential(0.5, 4))
-    joint = build_joint_table(params)
-    return params, joint
+    return ModelParams(beta=2, quality=make_exponential(0.5, 4))
 
 
 class TestCriticalValues:
     def test_all_zero_quality_has_no_quality_paradox(self, ba2):
-        params, _ = ba2
+        params = ba2
         c = critical_values(params)
         assert c.quality_mean is None
         assert c.quality_median is None
@@ -45,7 +42,7 @@ class TestCriticalValues:
     def test_ba_degree_paradox_holds_at_beta(self, ba2):
         # frozen simulation fact: the mean neighbor degree of a degree-2
         # node in a degree-driven network is far above 2
-        params, _ = ba2
+        params = ba2
         c = critical_values(params)
         assert c.degree_mean is not None and c.degree_mean >= 2
         assert c.degree_median is not None and c.degree_median >= 2
@@ -85,7 +82,7 @@ class TestCriticalValues:
         # just above it (sampled via the public per-k distribution)
         from qpanet.analytic import neighbor_degree_dist
 
-        params, _ = exp_small
+        params = exp_small
         c = critical_values(params)
         k = c.degree_mean
         assert neighbor_degree_dist(params, k).mean > k
@@ -93,9 +90,9 @@ class TestCriticalValues:
             assert neighbor_degree_dist(params, above).mean <= above
 
     def test_quality_critical_orders_against_baseline(self, exp_small):
-        params, joint = exp_small
+        params = exp_small
         c = critical_values(params)
-        u = uncorrelated_criticals(params, joint)
+        u = uncorrelated_criticals(params)
 
         def at_least(a, b):
             return (-1 if a is None else a) >= (-1 if b is None else b)
@@ -109,30 +106,40 @@ class TestUncorrelatedCriticals:
         # mean quality 8 on support {0, 10}: largest support value
         # strictly below the mean is 0
         params = ModelParams(beta=2, quality=make_bernoulli(0.2, 10))
-        joint = build_joint_table(params)
-        u = uncorrelated_criticals(params, joint)
+        u = uncorrelated_criticals(params)
         assert u.quality_mean == 0
 
     def test_absent_median_critical(self):
         params = ModelParams(beta=2, quality=make_bernoulli(0.6, 8))
-        joint = build_joint_table(params)
-        u = uncorrelated_criticals(params, joint)
+        u = uncorrelated_criticals(params)
         assert u.quality_median is None  # median 0, nothing below it
 
     def test_uniform_quality_mean(self):
         params = ModelParams(beta=2, quality=make_exponential(1.0, 8))
-        joint = build_joint_table(params)
-        u = uncorrelated_criticals(params, joint)
+        u = uncorrelated_criticals(params)
         assert u.quality_mean == 3  # mean 4, largest integer strictly below
 
     def test_degree_mean_is_two_beta_minus_one(self):
         for beta in (2, 5):
             params = ModelParams(beta=beta, quality=make_exponential(0.8, 4))
-            joint = build_joint_table(params)
-            u = uncorrelated_criticals(params, joint)
+            u = uncorrelated_criticals(params)
             # the degree mean is exactly 2 beta for every quality
             # distribution, and ties do not qualify
             assert u.degree_mean == 2 * beta - 1
+
+    def test_degree_median_past_the_old_block(self):
+        # at all-zero quality P(k > K) = beta (beta + 1)/((K + 1)(K + 2)), so
+        # the median is the least K with (K + 1)(K + 2) >= 2 beta (beta + 1):
+        # 4242 at beta 3000, past the 1024 degrees a joint table holds
+        beta = 3000
+        median = next(
+            k for k in itertools.count(beta) if (k + 1) * (k + 2) >= 2 * beta * (beta + 1)
+        )
+        assert median == 4242 > beta + 1023
+        params = ModelParams(beta=beta, quality=make_bernoulli(1.0, 4))
+        assert build_joint_table(params).median_degree == median
+        u = uncorrelated_criticals(params)
+        assert (u.degree_mean, u.degree_median) == (2 * beta - 1, median - 1)
 
     def test_matches_direct_max_scan_on_random_pmfs(self):
         rng = np.random.default_rng(23)
@@ -151,42 +158,32 @@ class TestUncorrelatedCriticals:
             expect_median = max(
                 (t for t in support if t < pmf.median), default=None
             )
-            joint = _FakeJoint()
-            u = uncorrelated_criticals(params, joint)
+            u = uncorrelated_criticals(params)
             assert u.quality_mean == expect_mean
             assert u.quality_median == expect_median
 
 
-class _FakeJoint:
-    mean_degree = 4.0
-    median_degree = 3
-    k_max = 100
-
-
 class TestParadoxFractions:
     def test_absent_critical_gives_zero(self, ba2):
-        params, joint = ba2
+        params = ba2
         c = Criticals(None, None, None, None, "qpa")
-        f = paradox_fractions(params, c, joint)
+        f = paradox_fractions(params, c)
         assert f.quality_mean == 0.0
         assert f.degree_mean == 0.0
 
     def test_two_point_quality_fraction(self):
         params = ModelParams(beta=2, quality=make_bernoulli(0.2, 10))
-        joint = build_joint_table(params)
         c = Criticals(0, None, None, None, "qpa")
-        f = paradox_fractions(params, c, joint)
+        f = paradox_fractions(params, c)
         assert f.quality_mean == pytest.approx(0.2, abs=1e-12)
 
     def test_fraction_is_cdf_evaluation(self, exp_small):
-        params, joint = exp_small
+        params = exp_small
         c = critical_values(params)
-        f = paradox_fractions(params, c, joint)
+        f = paradox_fractions(params, c)
         direct_q = float(params.quality.probs[: c.quality_mean + 1].sum())
         assert f.quality_mean == pytest.approx(direct_q, abs=1e-12)
-        direct_k = float(
-            joint.degree_marginal[: c.degree_mean - params.beta + 1].sum()
-        )
+        direct_k = float(_joint_rows(params, params.beta, c.degree_mean).sum())
         assert f.degree_mean == pytest.approx(direct_k, abs=1e-12)
 
 
